@@ -84,6 +84,7 @@ type bloomSegment struct {
 	nodeSym   intern.Sym
 	patSym    intern.Sym
 	filter    *bloom.Filter
+	bytes     int64 // the filter's persisted (encoded) size, as added to storageBloom
 	at        int64 // arrival time (UnixNano), drives TTL retention
 }
 
@@ -357,7 +358,7 @@ func (b *Backend) AcceptBloom(r *wire.BloomReport, immutable bool) {
 	d := time.Since(start)
 	b.histApplyBloom.Observe(d)
 	if b.slow.Exceeds(d) {
-		b.slow.Record("apply-bloom", r.PatternID, d, int64(r.Filter.SizeBytes()), -1)
+		b.slow.Record("apply-bloom", r.PatternID, d, int64(r.Filter.MarshaledSize()), -1)
 	}
 }
 
@@ -371,20 +372,20 @@ func (b *Backend) applyBloom(node, patternID string, f *bloom.Filter, immutable 
 	defer s.epoch.Add(1)
 	seg := bloomSegment{
 		node: b.syms.Str(nodeSym), patternID: b.syms.Str(patSym),
-		nodeSym: nodeSym, patSym: patSym, filter: f, at: at,
+		nodeSym: nodeSym, patSym: patSym, filter: f, bytes: int64(f.MarshaledSize()), at: at,
 	}
+	s.storageBloom += seg.bytes
 	switch {
 	case immutable:
 		s.addSegment(seg)
-		s.storageBloom += int64(f.SizeBytes())
 	default:
 		key := intern.Pair(nodeSym, patSym)
 		if i, ok := s.liveFilters[key]; ok {
-			s.segments[i] = seg // replacement: no storage growth, index position unchanged
+			s.storageBloom -= s.segments[i].bytes // replacement: storage moves by the difference, index position unchanged
+			s.segments[i] = seg
 		} else {
 			s.liveFilters[key] = len(s.segments)
 			s.addSegment(seg)
-			s.storageBloom += int64(f.SizeBytes())
 		}
 	}
 	if log && b.persist != nil {
@@ -459,7 +460,9 @@ func (b *Backend) Sampled(traceID string) bool {
 	return ok
 }
 
-// StorageBytes returns total storage and its three components.
+// StorageBytes returns total storage and its three components. The Bloom
+// component is the sum of the stored filters' encoded sizes — the filter
+// payload bytes a snapshot of the store holds on disk.
 func (b *Backend) StorageBytes() (total, patterns, blooms, params int64) {
 	for _, s := range b.shards {
 		s.mu.Lock()

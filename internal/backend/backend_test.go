@@ -47,6 +47,20 @@ func st(traceID string, dur int64) *trace.SubTrace {
 	return &trace.SubTrace{TraceID: traceID, Node: "n1", Spans: spans}
 }
 
+// encodedFilterBytes sums what the stored filters encode to — what the Bloom
+// component of StorageBytes must equal at all times.
+func encodedFilterBytes(b *Backend) int64 {
+	var n int64
+	for _, s := range b.shards {
+		s.mu.Lock()
+		for _, seg := range s.segments {
+			n += int64(len(seg.filter.AppendMarshal(nil)))
+		}
+		s.mu.Unlock()
+	}
+	return n
+}
+
 func TestQueryMissWhenUnknown(t *testing.T) {
 	h := newHarness()
 	if r := h.b.Query("nope"); r.Kind != Miss {
@@ -132,12 +146,14 @@ func TestStorageAccounting(t *testing.T) {
 	if total != pats+blooms+params {
 		t.Fatal("total must be the sum of parts")
 	}
-	// Periodic bloom re-upload replaces, not grows.
+	// Periodic bloom re-upload replaces: storage moves by the difference
+	// between the two snapshots' encoded sizes, not by a whole filter.
 	h.ingest(st("t2", 3000))
 	h.flush()
 	_, _, blooms2, _ := h.b.StorageBytes()
-	if blooms2 != blooms {
-		t.Fatalf("bloom storage grew on snapshot replace: %d -> %d", blooms, blooms2)
+	if blooms2 != encodedFilterBytes(h.b) || blooms2 <= blooms || blooms2 >= 2*blooms {
+		t.Fatalf("bloom storage after snapshot replace: %d -> %d, stored filters encode to %d",
+			blooms, blooms2, encodedFilterBytes(h.b))
 	}
 	// Immutable (full) filters append.
 	f := bloom.New(64, 0.01)

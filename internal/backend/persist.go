@@ -902,7 +902,7 @@ func (s *shard) sweepLocked(cutoff int64) int {
 		s.liveFilters = map[uint64]int{}
 		for i, seg := range old {
 			if seg.at < cutoff {
-				s.storageBloom -= int64(seg.filter.SizeBytes())
+				s.storageBloom -= seg.bytes
 				dropped++
 				continue
 			}

@@ -474,7 +474,7 @@ func TestRetentionSweep(t *testing.T) {
 	if params != 0 {
 		t.Fatalf("expired params still accounted: %d bytes", params)
 	}
-	if want := int64(freshFilter.SizeBytes()); blooms != want {
+	if want := int64(freshFilter.MarshaledSize()); blooms != want {
 		t.Fatalf("bloom storage after sweep: %d, want %d", blooms, want)
 	}
 	// Epochs advanced so cached answers cannot survive the sweep.
@@ -610,4 +610,158 @@ func TestManifestRejectsGarbage(t *testing.T) {
 	if err := b.OpenPersistence(PersistConfig{Dir: dir}); err == nil {
 		t.Fatal("open accepted a garbage manifest")
 	}
+}
+
+// snapshotFilterBytes sums the Bloom filter payload bytes the snapshot
+// writer put into dir's snapshot files, read back from the files themselves.
+func snapshotFilterBytes(t *testing.T, dir string) int64 {
+	t.Helper()
+	snaps, err := filepath.Glob(filepath.Join(dir, "*.snap"))
+	if err != nil || len(snaps) == 0 {
+		t.Fatalf("no snapshot files in %s: %v", dir, err)
+	}
+	var total int64
+	for _, path := range snaps {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := scanRecords(data[fileHeaderLen:], func(typ byte, _ int64, payload []byte) error {
+			if typ != recBloom {
+				return nil
+			}
+			d := wire.NewDecoder(payload)
+			d.Str()  // node
+			d.Str()  // pattern ID
+			d.Bool() // full
+			total += int64(len(d.Bytes()))
+			return d.Done()
+		})
+		if err != nil || n != len(data)-fileHeaderLen {
+			t.Fatalf("%s: scanned %d of %d bytes: %v", path, n, len(data)-fileHeaderLen, err)
+		}
+	}
+	return total
+}
+
+// TestBloomStorageIsPersistedBytes: the Bloom component of StorageBytes is
+// the filter bytes on disk. It holds while live snapshots are replaced by
+// larger and smaller ones and after a retention sweep, and a reopened and a
+// resharded-reopened store report the same number.
+func TestBloomStorageIsPersistedBytes(t *testing.T) {
+	const ttl = time.Minute
+	dir := t.TempDir()
+	clock := int64(1_000_000_000)
+	open := func(shards int) *Backend {
+		b := NewSharded(0, shards)
+		b.SetTimeSource(func() int64 { return clock })
+		if err := b.OpenPersistence(PersistConfig{Dir: dir, RetentionTTL: ttl}); err != nil {
+			t.Fatalf("open with %d shards: %v", shards, err)
+		}
+		return b
+	}
+	check := func(b *Backend, when string) int64 {
+		t.Helper()
+		_, _, blooms, _ := b.StorageBytes()
+		if want := encodedFilterBytes(b); blooms != want {
+			t.Fatalf("%s: bloom storage %d, stored filters encode to %d", when, blooms, want)
+		}
+		if err := b.Compact(); err != nil {
+			t.Fatalf("%s: compact: %v", when, err)
+		}
+		if onDisk := snapshotFilterBytes(t, dir); blooms != onDisk {
+			t.Fatalf("%s: bloom storage %d, snapshot files hold %d filter bytes", when, blooms, onDisk)
+		}
+		return blooms
+	}
+
+	a := open(4)
+	seedStore(a) // one full segment and a live snapshot replaced once
+	check(a, "seeded")
+
+	// Replace live snapshots of several patterns with growing, then
+	// shrinking, then dense-form filters.
+	for round, n := range []int{1, 40, 3, 400, 2} {
+		for p := 0; p < 6; p++ {
+			f := bloom.New(512, 0.01)
+			for i := 0; i < n; i++ {
+				f.Add(fmt.Sprintf("r%d-p%d-t%d", round, p, i))
+			}
+			a.AcceptBloom(&wire.BloomReport{Node: "n1", PatternID: fmt.Sprintf("tp%d", p), Filter: f.Snapshot()}, false)
+		}
+		check(a, fmt.Sprintf("replacement round %d", round))
+	}
+
+	// Age everything out except what arrives now.
+	clock += int64(ttl) + 1
+	for p := 0; p < 3; p++ {
+		f := bloom.New(512, 0.01)
+		f.Add(fmt.Sprintf("fresh-%d", p))
+		a.AcceptBloom(&wire.BloomReport{Node: "n2", PatternID: fmt.Sprintf("tp%d", p), Filter: f, Full: p == 0}, p == 0)
+	}
+	before, _, _, _ := a.StorageBytes()
+	if a.SweepExpired() == 0 {
+		t.Fatal("sweep dropped nothing")
+	}
+	live := check(a, "after sweep")
+	if after, _, _, _ := a.StorageBytes(); after >= before || live == 0 {
+		t.Fatalf("sweep left storage at %d (was %d), blooms %d", after, before, live)
+	}
+	if err := a.ClosePersistence(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+
+	b := open(4)
+	if got := check(b, "reopened"); got != live {
+		t.Fatalf("reopened store reports %d bloom bytes, live store reported %d", got, live)
+	}
+	if err := b.ClosePersistence(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	c := open(3)
+	defer c.ClosePersistence()
+	if got := check(c, "resharded"); got != live {
+		t.Fatalf("resharded store reports %d bloom bytes, live store reported %d", got, live)
+	}
+}
+
+// TestVersion1DataDirRefused: the filter encoding changed with snapshot
+// version 2 and there is no reader for the old one. A version-1 directory
+// must fail open loudly, by its manifest and by each file header alike.
+func TestVersion1DataDirRefused(t *testing.T) {
+	dir := t.TempDir()
+	a := openPersistent(t, 1, PersistConfig{Dir: dir})
+	seedStore(a)
+	if err := a.Compact(); err != nil {
+		t.Fatalf("compact: %v", err)
+	}
+	if err := a.ClosePersistence(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	refused := func(what string) {
+		t.Helper()
+		b := NewSharded(0, 1)
+		err := b.OpenPersistence(PersistConfig{Dir: dir})
+		if !errors.Is(err, ErrBadSnapshot) || !strings.Contains(err.Error(), "version 1 (want 2)") {
+			t.Fatalf("%s: open err = %v, want ErrBadSnapshot naming version 1 (want 2)", what, err)
+		}
+	}
+
+	// The snapshot file says version 1 (bytes 8..11 of its header).
+	snap := snapPath(dir, 1, 0)
+	data, err := os.ReadFile(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[8] = 1
+	if err := os.WriteFile(snap, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	refused("version-1 snapshot header")
+
+	// The manifest says version 1 too: refused before any file is read.
+	if err := os.WriteFile(filepath.Join(dir, manifestName), []byte("mint-data 1\nlayout 1\nshards 1\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	refused("version-1 manifest")
 }

@@ -56,7 +56,7 @@ const (
 )
 
 // snapshotVersion is the current on-disk format version, checked on open.
-const snapshotVersion = 1
+const snapshotVersion = 2
 
 var (
 	snapMagic = [8]byte{'M', 'I', 'N', 'T', 'S', 'N', 'A', 'P'}

@@ -7,13 +7,16 @@
 // h1 + i*h2 mod m. Parameters match the paper's deployment defaults: a fixed
 // 4 KB bit buffer per filter and a 1% false-positive probability, which
 // together determine the filter's capacity. When the capacity is reached the
-// collector reports the filter and resets it.
+// collector reports the filter and resets it. The bit buffer is fixed in
+// memory only: serialized, a filter takes the size of what it holds (see
+// AppendMarshal).
 package bloom
 
 import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"math/bits"
 )
 
 // DefaultBufferBytes is the paper's default per-filter buffer size (4 KB).
@@ -23,6 +26,18 @@ const DefaultBufferBytes = 4096
 // falsePositiveProbability parameter set to 0.01).
 const DefaultFPP = 0.01
 
+// MaxBufferBytes bounds a filter's bit array (1 MiB, 256x the default). New
+// refuses more and Unmarshal rejects a header declaring more, so a few bytes
+// from disk or the network can never demand a large allocation, and every
+// filter New builds fits the smallest frame that has to carry it (the
+// storage engine's 64 MiB record).
+const MaxBufferBytes = 1 << 20
+
+// maxProbes bounds k in a serialized header: above anything New derives
+// from a float64 fpp, and small enough that a hostile k cannot turn Contains
+// into a busy loop.
+const maxProbes = 1 << 11
+
 // Filter is a Bloom filter over string keys.
 type Filter struct {
 	bits     []uint64
@@ -30,14 +45,16 @@ type Filter struct {
 	k        int    // number of hash probes
 	n        int    // elements inserted
 	capacity int    // elements before FPP is exceeded
+	encSize  int    // cached MarshaledSize; 0 = not computed (cleared by Add and Reset)
 }
 
 // New creates a filter with a bit array of bufBytes bytes sized for the given
-// false-positive probability. It panics if bufBytes <= 0 or fpp is outside
-// (0, 1); configuration errors are programming errors here.
+// false-positive probability. It panics if bufBytes is outside
+// (0, MaxBufferBytes] or fpp is outside (0, 1); configuration errors are
+// programming errors here.
 func New(bufBytes int, fpp float64) *Filter {
-	if bufBytes <= 0 {
-		panic("bloom: buffer size must be positive")
+	if bufBytes <= 0 || bufBytes > MaxBufferBytes {
+		panic("bloom: buffer size must be in (0, MaxBufferBytes]")
 	}
 	if fpp <= 0 || fpp >= 1 {
 		panic("bloom: fpp must be in (0, 1)")
@@ -104,6 +121,7 @@ func (f *Filter) Add(key string) {
 		f.bits[pos/64] |= 1 << (pos % 64)
 	}
 	f.n++
+	f.encSize = 0
 }
 
 // Contains reports whether key may be in the set. False positives occur with
@@ -137,13 +155,13 @@ func (f *Filter) Reset() {
 		f.bits[i] = 0
 	}
 	f.n = 0
+	f.encSize = 0
 }
 
-// SizeBytes returns the serialized size of the filter's bit array.
-func (f *Filter) SizeBytes() int { return len(f.bits) * 8 }
-
 // Snapshot returns an immutable copy of the filter for reporting. The copy
-// shares no state with the live filter.
+// shares no state with the live filter. Its encoded size is computed here,
+// once, so every later MarshaledSize call on the copy (the meter, the batch
+// envelope, the storage accounting) is a field read.
 func (f *Filter) Snapshot() *Filter {
 	c := &Filter{
 		bits:     make([]uint64, len(f.bits)),
@@ -153,48 +171,153 @@ func (f *Filter) Snapshot() *Filter {
 		capacity: f.capacity,
 	}
 	copy(c.bits, f.bits)
+	c.encSize = c.MarshaledSize()
 	return c
 }
 
-// MarshaledSize returns the byte length Marshal produces.
-func (f *Filter) MarshaledSize() int { return 24 + len(f.bits)*8 }
+// Serialized layout — the one filter encoding, used by wire reports, rpc
+// envelopes, WAL and snapshot records alike:
+//
+//	uvarint m | uvarint k | uvarint n | uvarint capacity | form byte | body
+//
+//	formDense  body: ceil(m/64) little-endian 64-bit words
+//	formSparse body: the set-bit positions in ascending order, as uvarint
+//	                 gaps to the end of the input (the first gap is
+//	                 position+1, so every gap is >= 1)
+//
+// The encoder takes whichever body is shorter for the bits the filter holds
+// (dense on a tie), so a filter costs the bytes of what it contains rather
+// than of its configured buffer. The choice is a function of the bits alone:
+// every filter has exactly one encoding, and Unmarshal accepts only that one.
+// Filters stay dense in memory; only the serialized form varies.
+const (
+	formDense  = 0
+	formSparse = 1
+)
+
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+func (f *Filter) headerSize() int {
+	return uvarintLen(f.m) + uvarintLen(uint64(f.k)) + uvarintLen(uint64(f.n)) + uvarintLen(uint64(f.capacity))
+}
+
+// denseBody is the byte length of the dense body.
+func (f *Filter) denseBody() int { return len(f.bits) * 8 }
+
+// eachGap calls fn with the distance from each set bit to the one before it
+// (position+1 for the first), in ascending order, until fn returns false.
+func (f *Filter) eachGap(fn func(gap uint64) bool) {
+	next := uint64(0)
+	for i, w := range f.bits {
+		for ; w != 0; w &= w - 1 {
+			pos := uint64(i)*64 + uint64(bits.TrailingZeros64(w))
+			if !fn(pos + 1 - next) {
+				return
+			}
+			next = pos + 1
+		}
+	}
+}
+
+// bodySize returns the byte length of the shorter body; it equals denseBody
+// exactly when the dense form is the one to write. The walk stops once the
+// sparse body can no longer beat the dense one.
+func (f *Filter) bodySize() int {
+	dense, sparse := f.denseBody(), 0
+	f.eachGap(func(gap uint64) bool {
+		sparse += uvarintLen(gap)
+		return sparse < dense
+	})
+	return min(sparse, dense)
+}
+
+// MarshaledSize returns the byte length AppendMarshal produces.
+func (f *Filter) MarshaledSize() int {
+	if f.encSize != 0 {
+		return f.encSize
+	}
+	return f.headerSize() + 1 + f.bodySize()
+}
 
 // AppendMarshal appends the serialization to dst, for callers encoding into
 // reused buffers.
 func (f *Filter) AppendMarshal(dst []byte) []byte {
-	dst = binary.LittleEndian.AppendUint64(dst, f.m)
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(f.k))
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(f.n))
-	for _, w := range f.bits {
-		dst = binary.LittleEndian.AppendUint64(dst, w)
+	dst = binary.AppendUvarint(dst, f.m)
+	dst = binary.AppendUvarint(dst, uint64(f.k))
+	dst = binary.AppendUvarint(dst, uint64(f.n))
+	dst = binary.AppendUvarint(dst, uint64(f.capacity))
+	if body := f.MarshaledSize() - f.headerSize() - 1; body == f.denseBody() {
+		dst = append(dst, formDense)
+		for _, w := range f.bits {
+			dst = binary.LittleEndian.AppendUint64(dst, w)
+		}
+		return dst
 	}
+	dst = append(dst, formSparse)
+	f.eachGap(func(gap uint64) bool {
+		dst = binary.AppendUvarint(dst, gap)
+		return true
+	})
 	return dst
-}
-
-// Marshal serializes the filter: header (m, k, n) followed by the bit array.
-func (f *Filter) Marshal() []byte {
-	return f.AppendMarshal(make([]byte, 0, f.MarshaledSize()))
 }
 
 // ErrCorrupt reports a malformed serialized filter.
 var ErrCorrupt = errors.New("bloom: corrupt serialized filter")
 
-// Unmarshal reconstructs a filter serialized by Marshal.
+// Unmarshal reconstructs a filter serialized by AppendMarshal. The input
+// comes from disk or the network: sizes are bounded before anything is
+// allocated, and anything but the canonical encoding of the decoded filter
+// (a position outside the bit array, a zero gap, the longer of the two
+// forms, a padded varint, bytes after a dense body) is rejected.
 func Unmarshal(data []byte) (*Filter, error) {
-	if len(data) < 24 {
+	rest := data
+	var hdr [4]uint64
+	for i := range hdr {
+		v, n := binary.Uvarint(rest)
+		if n <= 0 {
+			return nil, ErrCorrupt
+		}
+		hdr[i], rest = v, rest[n:]
+	}
+	m, k, n, capacity := hdr[0], hdr[1], hdr[2], hdr[3]
+	if m == 0 || m > MaxBufferBytes*8 || k < 1 || k > maxProbes ||
+		n > math.MaxInt || capacity < 1 || capacity > math.MaxInt || len(rest) < 1 {
 		return nil, ErrCorrupt
 	}
-	m := binary.LittleEndian.Uint64(data[0:])
-	k := int(binary.LittleEndian.Uint64(data[8:]))
-	n := int(binary.LittleEndian.Uint64(data[16:]))
+	form, rest := rest[0], rest[1:]
+	f := &Filter{m: m, k: int(k), n: int(n), capacity: int(capacity)}
 	words := int((m + 63) / 64)
-	if len(data) != 24+words*8 || k < 1 || m == 0 {
+	switch form {
+	case formDense:
+		if len(rest) != words*8 {
+			return nil, ErrCorrupt
+		}
+		f.bits = make([]uint64, words)
+		for i := range f.bits {
+			f.bits[i] = binary.LittleEndian.Uint64(rest[i*8:])
+		}
+		if tail := m % 64; tail != 0 && f.bits[words-1]>>tail != 0 {
+			return nil, ErrCorrupt // a bit at a position >= m
+		}
+	case formSparse:
+		f.bits = make([]uint64, words)
+		next := uint64(0)
+		for len(rest) > 0 {
+			gap, vn := binary.Uvarint(rest)
+			if vn <= 0 || gap == 0 || gap > m-next {
+				return nil, ErrCorrupt
+			}
+			pos := next + gap - 1
+			f.bits[pos/64] |= 1 << (pos % 64)
+			next, rest = pos+1, rest[vn:]
+		}
+	default:
 		return nil, ErrCorrupt
 	}
-	f := &Filter{bits: make([]uint64, words), m: m, k: k, n: n}
-	f.capacity = int(-float64(m) * math.Ln2 * math.Ln2 / math.Log(DefaultFPP))
-	for i := range f.bits {
-		f.bits[i] = binary.LittleEndian.Uint64(data[24+i*8:])
+	body := f.bodySize()
+	if f.headerSize()+1+body != len(data) || (body < f.denseBody()) != (form == formSparse) {
+		return nil, ErrCorrupt
 	}
+	f.encSize = len(data)
 	return f, nil
 }

@@ -103,39 +103,11 @@ func TestSnapshotIsDetached(t *testing.T) {
 	}
 }
 
-func TestMarshalRoundTrip(t *testing.T) {
-	f := New(512, 0.01)
-	for i := 0; i < 50; i++ {
-		f.Add(fmt.Sprintf("key-%d", i))
-	}
-	data := f.Marshal()
-	g, err := Unmarshal(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 50; i++ {
-		if !g.Contains(fmt.Sprintf("key-%d", i)) {
-			t.Fatalf("unmarshaled filter lost key-%d", i)
-		}
-	}
-	if g.Count() != f.Count() {
-		t.Fatalf("count mismatch: %d vs %d", g.Count(), f.Count())
-	}
-}
-
-func TestUnmarshalCorrupt(t *testing.T) {
-	for _, data := range [][]byte{nil, {1, 2, 3}, make([]byte, 25)} {
-		if _, err := Unmarshal(data); err == nil {
-			t.Errorf("corrupt input %v should error", data)
-		}
-	}
-}
-
 func TestNewPanicsOnBadConfig(t *testing.T) {
 	for _, c := range []struct {
 		buf int
 		fpp float64
-	}{{0, 0.01}, {-1, 0.01}, {64, 0}, {64, 1}, {64, -0.5}} {
+	}{{0, 0.01}, {-1, 0.01}, {MaxBufferBytes + 1, 0.01}, {64, 0}, {64, 1}, {64, -0.5}} {
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -144,12 +116,5 @@ func TestNewPanicsOnBadConfig(t *testing.T) {
 			}()
 			New(c.buf, c.fpp)
 		}()
-	}
-}
-
-func TestSizeBytes(t *testing.T) {
-	f := New(DefaultBufferBytes, DefaultFPP)
-	if f.SizeBytes() != DefaultBufferBytes {
-		t.Fatalf("SizeBytes = %d, want %d", f.SizeBytes(), DefaultBufferBytes)
 	}
 }

@@ -15,7 +15,9 @@ import (
 // AblationBloomBuffer sweeps the per-filter Bloom buffer size and reports
 // network/storage cost and the resulting filter report cadence. Larger
 // buffers amortize better per trace but hold more memory per pattern and
-// delay reports (the paper chose 4 KB).
+// delay reports (the paper chose 4 KB). A filter serializes at the size of
+// what it holds, so at low volume a larger buffer costs only wider gaps
+// between set bits, not its whole bit array.
 func AblationBloomBuffer(tp *Topo) *Result {
 	res := &Result{
 		ID:     "abl-bloom",
@@ -41,7 +43,7 @@ func AblationBloomBuffer(tp *Topo) *Result {
 		fw.Close()
 	}
 	res.Notes = append(res.Notes,
-		"small buffers cut fixed cost at low volume; at production volume 4 KB amortizes to ~1.2 B/trace")
+		"filters ship at the size of what they hold, so buffer size moves cost only through gap width at low volume; at production volume 4 KB amortizes to ~1.2 B/trace")
 	return res
 }
 

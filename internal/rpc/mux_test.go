@@ -42,10 +42,11 @@ func startLoopbackPool(t *testing.T, b *backend.Backend, conns int) (*Client, *S
 	return cli, srv
 }
 
-// A version-1 peer connecting to a version-2 server must learn exactly which
-// versions disagreed: the server answers the bad preamble with its own
-// preamble (so the old client's own handshake check names both versions)
-// and closes.
+// An older peer connecting to this server must learn exactly which versions
+// disagreed: the server answers the bad preamble with its own preamble (so
+// the old client's own handshake check names both versions) and closes.
+// Version 3 is the generation that still shipped fixed-size Bloom filters;
+// there is no reader for it, so it is refused like any other.
 func TestHandshakeMismatchOldClientAgainstNewServer(t *testing.T) {
 	srv := NewServer(backend.NewSharded(0, 1))
 	addr, err := srv.Listen("127.0.0.1:0")
@@ -54,31 +55,34 @@ func TestHandshakeMismatchOldClientAgainstNewServer(t *testing.T) {
 	}
 	t.Cleanup(func() { srv.Close() })
 
-	nc, err := net.Dial("tcp", addr.String())
-	if err != nil {
-		t.Fatalf("dial: %v", err)
+	for _, old := range []byte{1, 3} {
+		nc, err := net.Dial("tcp", addr.String())
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		defer nc.Close()
+		if _, err := nc.Write(append([]byte(Magic), old)); err != nil {
+			t.Fatalf("write preamble: %v", err)
+		}
+		_ = nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+		reply := make([]byte, len(Magic)+1)
+		if _, err := io.ReadFull(nc, reply); err != nil {
+			t.Fatalf("v%d: read server preamble: %v", old, err)
+		}
+		// The answer is the server's own preamble; the old client's
+		// handshake check turns it into "peer speaks protocol version 4,
+		// want <old>": the magic matched, the versions differ.
+		if string(reply) != string(handshakeBytes()) || reply[len(Magic)] == old {
+			t.Fatalf("v%d: server answered %q, want its own preamble %q", old, reply, handshakeBytes())
+		}
+		if _, err := nc.Read(make([]byte, 1)); err != io.EOF {
+			t.Fatalf("v%d: connection after mismatch: err = %v, want EOF", old, err)
+		}
 	}
-	defer nc.Close()
-	if _, err := nc.Write(append([]byte(Magic), 1)); err != nil { // version-1 preamble
-		t.Fatalf("write preamble: %v", err)
-	}
-	_ = nc.SetReadDeadline(time.Now().Add(5 * time.Second))
-	reply := make([]byte, len(Magic)+1)
-	if _, err := io.ReadFull(nc, reply); err != nil {
-		t.Fatalf("read server preamble: %v", err)
-	}
-	// The answer is the server's own preamble; a v1 client's handshake check
-	// turns it into "peer speaks protocol version 2, want 1".
-	if string(reply) != string(handshakeBytes()) {
-		t.Fatalf("server answered %q, want its own preamble %q", reply, handshakeBytes())
-	}
-	// A v1 client compares the answered version against its own (1) and
-	// reports the disagreement; the magic matched, the versions differ.
-	if string(reply[:len(Magic)]) != Magic || reply[len(Magic)] == 1 {
-		t.Fatalf("old client could not name the version disagreement from %q", reply)
-	}
-	if _, err := nc.Read(make([]byte, 1)); err != io.EOF {
-		t.Fatalf("connection after mismatch: err = %v, want EOF", err)
+	// And this side of the same check, when the peer is the old one.
+	err = checkHandshake(append([]byte(Magic), 3))
+	if !errors.Is(err, ErrProtocol) || !strings.Contains(err.Error(), "version 3, want 4") {
+		t.Fatalf("version-3 preamble: err = %v, want ErrProtocol naming version 3, want 4", err)
 	}
 }
 

@@ -61,14 +61,10 @@ import (
 const (
 	// Magic opens every connection, client-first.
 	Magic = "MINT"
-	// ProtoVersion is the protocol generation this package speaks.
-	// Version 2 added the 8-byte request ID to the frame header
-	// (multiplexing), the coalesced ingest envelope and the candidate-only
-	// search request. Version 3 prefixed the ingest envelope payload with a
-	// client-session and sequence ID (exactly-once replay after reconnect)
-	// and added the busy response frame (overload shedding). Older peers are
-	// rejected at the handshake.
-	ProtoVersion = 3
+	// ProtoVersion is the protocol generation this package speaks; any
+	// other is rejected at the handshake. Version 4 carries Bloom filters in
+	// the compact encoding (bloom.AppendMarshal).
+	ProtoVersion = 4
 )
 
 // MaxFrameBytes bounds a frame payload (256 MB). A length beyond it is

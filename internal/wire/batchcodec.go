@@ -94,8 +94,8 @@ func AppendBatch(dst []byte, b *Batch) []byte {
 func MarshalBatch(b *Batch) []byte { return AppendBatch(nil, b) }
 
 // UnmarshalBatch decodes a payload written by MarshalBatch. The decoded
-// reports are fresh allocations; nothing aliases the payload except Bloom
-// filter bit arrays, which bloom.Unmarshal copies.
+// reports are fresh allocations; nothing aliases the payload (bloom.Unmarshal
+// rebuilds each filter's bit array).
 func UnmarshalBatch(payload []byte) (*Batch, error) {
 	d := NewDecoder(payload)
 	b := &Batch{Node: d.Str()}

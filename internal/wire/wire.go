@@ -59,7 +59,8 @@ type BloomReport struct {
 	Full bool
 }
 
-// Size implements Message.
+// Size implements Message. The filter counts at its encoded size (see
+// bloom.AppendMarshal): the bytes AppendBloomReport actually ships.
 func (r *BloomReport) Size() int {
 	return headerBytes + len(r.Node) + len(r.PatternID) + r.Filter.MarshaledSize()
 }

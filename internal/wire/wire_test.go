@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/bloom"
@@ -27,11 +28,26 @@ func TestMessageSizesPositive(t *testing.T) {
 	}
 }
 
+// A Bloom report is metered at the bytes its filter encodes to — what the
+// filter holds, not the buffer it was configured with.
 func TestBloomReportSizeTracksFilter(t *testing.T) {
-	small := &BloomReport{Node: "n", PatternID: "p", Filter: bloom.New(256, 0.01)}
-	large := &BloomReport{Node: "n", PatternID: "p", Filter: bloom.New(4096, 0.01)}
-	if small.Size() >= large.Size() {
-		t.Fatal("bigger filter must serialize bigger")
+	f := bloom.NewDefault()
+	r := &BloomReport{Node: "n", PatternID: "p", Filter: f}
+	empty := r.Size()
+	for i := 0; i < 5; i++ {
+		f.Add(fmt.Sprintf("trace-%d", i))
+	}
+	if want := headerBytes + len("n") + len("p") + len(f.AppendMarshal(nil)); r.Size() != want {
+		t.Fatalf("Size = %d, want header + names + encoded filter = %d", r.Size(), want)
+	}
+	if r.Size() <= empty || r.Size() >= bloom.DefaultBufferBytes/8 {
+		t.Fatalf("5-element filter report is %d bytes (empty: %d, buffer: %d)", r.Size(), empty, bloom.DefaultBufferBytes)
+	}
+	for !f.Full() {
+		f.Add(fmt.Sprintf("trace-%d", f.Count()))
+	}
+	if r.Size() <= bloom.DefaultBufferBytes {
+		t.Fatalf("full filter report is %d bytes, below its %d-byte bit array", r.Size(), bloom.DefaultBufferBytes)
 	}
 }
 
