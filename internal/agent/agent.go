@@ -200,10 +200,19 @@ func (a *Agent) DrainPatternDeltas() ([]*parser.SpanPattern, []*topo.Pattern) {
 	return sp, tp
 }
 
-// SnapshotBloomFilters returns copies of the live (non-empty) Bloom filters
-// for the periodic upload.
-func (a *Agent) SnapshotBloomFilters() []topo.FilterSnapshot {
-	return a.topoLib.SnapshotFilters()
+// UploadBloomDeltas is the Bloom half of the periodic upload: for every
+// pattern whose filter gained trace IDs since the previous call it hands send
+// a filter holding just those IDs, in pattern-ID order. It runs under the
+// ingest lock — the lock a full filter is cut and reported under
+// (OnBloomFull) — so for one pattern, deltas and full filters reach send in
+// the order they were cut, which is the order the backend must apply them in.
+// send must not call back into the agent.
+func (a *Agent) UploadBloomDeltas(send func(patternID string, delta *bloom.Filter)) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	for _, d := range a.topoLib.TakeFilterDeltas() {
+		send(d.PatternID, d.Filter)
+	}
 }
 
 // Parser exposes the span parser (stats, reconstruction helpers).

@@ -85,7 +85,11 @@ type bloomSegment struct {
 	patSym    intern.Sym
 	filter    *bloom.Filter
 	bytes     int64 // the filter's persisted (encoded) size, as added to storageBloom
-	at        int64 // arrival time (UnixNano), drives TTL retention
+	at        int64 // arrival time (UnixNano) of the newest report in it, drives TTL retention
+	// live marks the pair's one mutable segment, the one liveFilters points
+	// at: periodic deltas are OR-ed into it until a full filter retires it.
+	// Everything else is immutable.
+	live bool
 }
 
 // shard is one independently locked partition of the backend store. Pattern
@@ -109,9 +113,10 @@ type shard struct {
 	spanPatterns map[intern.Sym]*parser.SpanPattern
 	topoPatterns map[intern.Sym]*topo.Pattern
 	segments     []bloomSegment
-	// latest periodic snapshot per (node, pattern) pair; replaced on
-	// re-upload so storage reflects the live filter state, while full
-	// filters append immutable segments.
+	// the live segment per (node, pattern) pair: the merge of the periodic
+	// deltas uploaded since the pair's last full filter. It is always the
+	// last of its pair's segments in slice order, which is what lets a
+	// snapshot replay rebuild it from the records alone.
 	liveFilters map[uint64]int // intern.Pair key -> index into segments
 	// segment index (index.go): every segment position per (node, pattern)
 	// pair, plus the pairs belonging to each pattern for targeted probes.
@@ -349,9 +354,13 @@ func (b *Backend) applyTopoPattern(p *topo.Pattern, at int64, log bool) {
 	}
 }
 
-// AcceptBloom stores a reported Bloom filter. Full-filter reports
-// (immutable=true) append; periodic snapshots replace the previous snapshot
-// for the same (node, pattern).
+// AcceptBloom stores a reported Bloom filter; immutable is the report's Full
+// flag. A periodic report is a delta — only the trace IDs mounted since the
+// (node, pattern) pair's previous upload — and is OR-ed into the pair's live
+// segment. A full filter becomes an immutable segment and retires the live
+// one, whose IDs it contains: the agent's next delta starts a fresh live
+// segment. The store keeps its own copy of a delta's bits; a full filter is
+// kept as passed.
 func (b *Backend) AcceptBloom(r *wire.BloomReport, immutable bool) {
 	start := time.Now()
 	b.applyBloom(r.Node, r.PatternID, r.Filter, immutable, b.now(), true)
@@ -362,7 +371,7 @@ func (b *Backend) AcceptBloom(r *wire.BloomReport, immutable bool) {
 	}
 }
 
-func (b *Backend) applyBloom(node, patternID string, f *bloom.Filter, immutable bool, at int64, log bool) {
+func (b *Backend) applyBloom(node, patternID string, f *bloom.Filter, full bool, at int64, log bool) {
 	nodeSym := b.syms.Intern(node)
 	patSym := b.syms.Intern(patternID)
 	idx := b.routeIdx(b.syms.Hash(patSym))
@@ -370,26 +379,51 @@ func (b *Backend) applyBloom(node, patternID string, f *bloom.Filter, immutable 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	defer s.epoch.Add(1)
-	seg := bloomSegment{
-		node: b.syms.Str(nodeSym), patternID: b.syms.Str(patSym),
-		nodeSym: nodeSym, patSym: patSym, filter: f, bytes: int64(f.MarshaledSize()), at: at,
+	key := intern.Pair(nodeSym, patSym)
+	var live *bloomSegment
+	if i, ok := s.liveFilters[key]; ok {
+		live = &s.segments[i]
 	}
-	s.storageBloom += seg.bytes
-	switch {
-	case immutable:
-		s.addSegment(seg)
-	default:
-		key := intern.Pair(nodeSym, patSym)
-		if i, ok := s.liveFilters[key]; ok {
-			s.storageBloom -= s.segments[i].bytes // replacement: storage moves by the difference, index position unchanged
-			s.segments[i] = seg
-		} else {
-			s.liveFilters[key] = len(s.segments)
-			s.addSegment(seg)
+	// store puts f into seg, moving the Bloom storage by the difference.
+	store := func(seg *bloomSegment, f *bloom.Filter) {
+		size := int64(f.MarshaledSize())
+		s.storageBloom += size - seg.bytes
+		seg.filter, seg.bytes, seg.at = f, size, at
+	}
+	add := func(f *bloom.Filter, isLive bool) {
+		seg := bloomSegment{
+			node: b.syms.Str(nodeSym), patternID: b.syms.Str(patSym),
+			nodeSym: nodeSym, patSym: patSym, live: isLive,
 		}
+		store(&seg, f)
+		s.addSegment(seg)
+	}
+	switch {
+	case full:
+		if live != nil {
+			live.live = false
+			delete(s.liveFilters, key)
+		}
+		if live != nil && f.Covers(live.filter) {
+			// The live segment holds deltas of the filter that just filled:
+			// the full filter takes over its slot.
+			store(live, f)
+		} else {
+			// No live segment, or one that also holds IDs this filter never
+			// saw (an earlier agent generation's): that one stays, sealed.
+			add(f, false)
+		}
+	case live != nil && live.filter.Union(f) == nil:
+		store(live, live.filter)
+	default:
+		if live != nil {
+			live.live = false // filters of another shape cannot merge: sealed
+		}
+		s.liveFilters[key] = len(s.segments)
+		add(f.Snapshot(), true)
 	}
 	if log && b.persist != nil {
-		rep := wire.BloomReport{Node: node, PatternID: patternID, Filter: f, Full: immutable}
+		rep := wire.BloomReport{Node: node, PatternID: patternID, Filter: f, Full: full}
 		b.persist.logLocked(idx, s, recBloom, at, func(dst []byte) []byte { return wire.AppendBloomReport(dst, &rep) })
 	}
 }

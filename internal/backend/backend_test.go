@@ -28,9 +28,9 @@ func (h *harness) ingest(st *trace.SubTrace) {
 func (h *harness) flush() {
 	sp, tp := h.a.DrainPatternDeltas()
 	h.b.AcceptPatterns(&wire.PatternReport{Node: "n1", SpanPatterns: sp, TopoPatterns: tp})
-	for _, snap := range h.a.SnapshotBloomFilters() {
-		h.b.AcceptBloom(&wire.BloomReport{Node: "n1", PatternID: snap.PatternID, Filter: snap.Filter}, false)
-	}
+	h.a.UploadBloomDeltas(func(patternID string, delta *bloom.Filter) {
+		h.b.AcceptBloom(&wire.BloomReport{Node: "n1", PatternID: patternID, Filter: delta}, false)
+	})
 }
 
 var sqlSeq int
@@ -146,13 +146,13 @@ func TestStorageAccounting(t *testing.T) {
 	if total != pats+blooms+params {
 		t.Fatal("total must be the sum of parts")
 	}
-	// Periodic bloom re-upload replaces: storage moves by the difference
-	// between the two snapshots' encoded sizes, not by a whole filter.
+	// A periodic delta merges into the live segment: storage moves by the
+	// difference between the merged filter's encoded sizes, not by a filter.
 	h.ingest(st("t2", 3000))
 	h.flush()
 	_, _, blooms2, _ := h.b.StorageBytes()
 	if blooms2 != encodedFilterBytes(h.b) || blooms2 <= blooms || blooms2 >= 2*blooms {
-		t.Fatalf("bloom storage after snapshot replace: %d -> %d, stored filters encode to %d",
+		t.Fatalf("bloom storage after delta merge: %d -> %d, stored filters encode to %d",
 			blooms, blooms2, encodedFilterBytes(h.b))
 	}
 	// Immutable (full) filters append.
@@ -204,9 +204,9 @@ func TestCrossNodeStitching(t *testing.T) {
 	for _, a := range []*agent.Agent{fe, be} {
 		sp, tp := a.DrainPatternDeltas()
 		b.AcceptPatterns(&wire.PatternReport{Node: a.Node, SpanPatterns: sp, TopoPatterns: tp})
-		for _, snap := range a.SnapshotBloomFilters() {
-			b.AcceptBloom(&wire.BloomReport{Node: a.Node, PatternID: snap.PatternID, Filter: snap.Filter}, false)
-		}
+		a.UploadBloomDeltas(func(patternID string, delta *bloom.Filter) {
+			b.AcceptBloom(&wire.BloomReport{Node: a.Node, PatternID: patternID, Filter: delta}, false)
+		})
 	}
 	r := b.Query("t1")
 	if r.Kind != PartialHit {
@@ -233,5 +233,65 @@ func TestCrossNodeStitching(t *testing.T) {
 func TestHitKindString(t *testing.T) {
 	if Miss.String() != "miss" || PartialHit.String() != "partial" || ExactHit.String() != "exact" {
 		t.Fatal("HitKind strings")
+	}
+}
+
+// TestLiveSegmentSurvivesAgentRestart: a second agent generation for the same
+// (node, pattern) — a client restarted against a long-lived backend — starts
+// from an empty filter. What it uploads is merged into the pair's live
+// segment, so trace IDs the first generation mounted keep answering (the
+// Bloom no-miss property); replacing the segment, as whole-snapshot uploads
+// did, dropped them. It holds through the second generation's fill too: its
+// full filter never saw those IDs, so it must not retire the segment that
+// holds them.
+func TestLiveSegmentSurvivesAgentRestart(t *testing.T) {
+	b := New(0)
+	cfg := agent.Config{DisableSamplers: true, BloomBufBytes: 64}
+	start := func() *agent.Agent {
+		a := agent.New("n1", cfg)
+		a.OnBloomFull(func(patternID string, f *bloom.Filter) {
+			b.AcceptBloom(&wire.BloomReport{Node: "n1", PatternID: patternID, Filter: f, Full: true}, true)
+		})
+		return a
+	}
+	h := &harness{a: start(), b: b}
+	var first []string
+	for i := 0; i < 5; i++ {
+		id := fmt.Sprintf("gen1-%d", i)
+		first = append(first, id)
+		h.ingest(st(id, 3000))
+	}
+	h.flush()
+	answers := func(when string) {
+		t.Helper()
+		for _, id := range first {
+			if r := b.Query(id); r.Kind == Miss {
+				t.Fatalf("%s: %s, mounted and uploaded by the first agent generation, misses", when, id)
+			}
+		}
+	}
+	answers("before the restart")
+
+	h.a = start() // the restart: same node, same pattern, an empty filter
+	h.ingest(st("gen2-0", 3000))
+	h.flush()
+	answers("after the second generation's first upload")
+	if r := b.Query("gen2-0"); r.Kind == Miss {
+		t.Fatal("the second generation's own upload misses")
+	}
+
+	capacity := bloom.New(cfg.BloomBufBytes, bloom.DefaultFPP).Capacity()
+	for i := 1; i <= capacity; i++ {
+		h.ingest(st(fmt.Sprintf("gen2-%d", i), 3000))
+	}
+	h.flush()
+	answers("after the second generation's filter filled")
+	for i := 0; i <= capacity; i++ {
+		if r := b.Query(fmt.Sprintf("gen2-%d", i)); r.Kind == Miss {
+			t.Fatalf("gen2-%d misses after the fill", i)
+		}
+	}
+	if _, _, blooms, _ := b.StorageBytes(); blooms != encodedFilterBytes(b) {
+		t.Fatalf("bloom storage %d, stored filters encode to %d", blooms, encodedFilterBytes(b))
 	}
 }

@@ -891,23 +891,19 @@ func (s *shard) sweepLocked(cutoff int64) int {
 		}
 	}
 	if expired {
-		liveByIdx := make(map[int]uint64, len(s.liveFilters))
-		for key, i := range s.liveFilters {
-			liveByIdx[i] = key
-		}
 		old := s.segments
 		s.segments = nil
 		s.segIndex = map[uint64][]int{}
 		s.patKeys = map[intern.Sym][]uint64{}
 		s.liveFilters = map[uint64]int{}
-		for i, seg := range old {
+		for _, seg := range old {
 			if seg.at < cutoff {
 				s.storageBloom -= seg.bytes
 				dropped++
 				continue
 			}
-			if key, ok := liveByIdx[i]; ok {
-				s.liveFilters[key] = len(s.segments)
+			if seg.live {
+				s.liveFilters[intern.Pair(seg.nodeSym, seg.patSym)] = len(s.segments)
 			}
 			s.addSegment(seg)
 		}

@@ -52,9 +52,8 @@ func seedStore(b *Backend) {
 	live := bloom.New(128, 0.01)
 	live.Add("tr3")
 	b.AcceptBloom(&wire.BloomReport{Node: "n1", PatternID: "tp1", Filter: live}, false)
-	// Replace the live snapshot once, the way periodic reporting does.
+	// A second periodic delta, merged into the live segment.
 	live2 := bloom.New(128, 0.01)
-	live2.Add("tr3")
 	live2.Add("tr4")
 	b.AcceptBloom(&wire.BloomReport{Node: "n1", PatternID: "tp1", Filter: live2}, false)
 
@@ -645,8 +644,9 @@ func snapshotFilterBytes(t *testing.T, dir string) int64 {
 }
 
 // TestBloomStorageIsPersistedBytes: the Bloom component of StorageBytes is
-// the filter bytes on disk. It holds while live snapshots are replaced by
-// larger and smaller ones and after a retention sweep, and a reopened and a
+// the filter bytes on disk. It holds while live segments grow by small and
+// large deltas, through the switch to the dense form, when full filters
+// retire them, and after a retention sweep; and a reopened and a
 // resharded-reopened store report the same number.
 func TestBloomStorageIsPersistedBytes(t *testing.T) {
 	const ttl = time.Minute
@@ -676,20 +676,22 @@ func TestBloomStorageIsPersistedBytes(t *testing.T) {
 	}
 
 	a := open(4)
-	seedStore(a) // one full segment and a live snapshot replaced once
+	seedStore(a) // one full segment and a live one merged from two deltas
 	check(a, "seeded")
 
-	// Replace live snapshots of several patterns with growing, then
-	// shrinking, then dense-form filters.
-	for round, n := range []int{1, 40, 3, 400, 2} {
+	// Merge deltas of several sizes into the live segments of several
+	// patterns (sparse, then past the switch to the dense form), and retire
+	// them with a full filter in one round.
+	for round, n := range []int{1, 40, 3, 400, 0, 2} {
 		for p := 0; p < 6; p++ {
 			f := bloom.New(512, 0.01)
-			for i := 0; i < n; i++ {
+			for i := 0; i < max(n, 1); i++ {
 				f.Add(fmt.Sprintf("r%d-p%d-t%d", round, p, i))
 			}
-			a.AcceptBloom(&wire.BloomReport{Node: "n1", PatternID: fmt.Sprintf("tp%d", p), Filter: f.Snapshot()}, false)
+			full := n == 0
+			a.AcceptBloom(&wire.BloomReport{Node: "n1", PatternID: fmt.Sprintf("tp%d", p), Filter: f, Full: full}, full)
 		}
-		check(a, fmt.Sprintf("replacement round %d", round))
+		check(a, fmt.Sprintf("delta round %d", round))
 	}
 
 	// Age everything out except what arrives now.
@@ -725,43 +727,49 @@ func TestBloomStorageIsPersistedBytes(t *testing.T) {
 	}
 }
 
-// TestVersion1DataDirRefused: the filter encoding changed with snapshot
-// version 2 and there is no reader for the old one. A version-1 directory
-// must fail open loudly, by its manifest and by each file header alike.
-func TestVersion1DataDirRefused(t *testing.T) {
-	dir := t.TempDir()
-	a := openPersistent(t, 1, PersistConfig{Dir: dir})
-	seedStore(a)
-	if err := a.Compact(); err != nil {
-		t.Fatalf("compact: %v", err)
-	}
-	if err := a.ClosePersistence(); err != nil {
-		t.Fatalf("close: %v", err)
-	}
-	refused := func(what string) {
-		t.Helper()
-		b := NewSharded(0, 1)
-		err := b.OpenPersistence(PersistConfig{Dir: dir})
-		if !errors.Is(err, ErrBadSnapshot) || !strings.Contains(err.Error(), "version 1 (want 2)") {
-			t.Fatalf("%s: open err = %v, want ErrBadSnapshot naming version 1 (want 2)", what, err)
+// TestVersion2DataDirRefused: the filter encoding changed with snapshot
+// version 2, and with version 3 a periodic Bloom record became a delta to
+// merge where version 2 wrote a snapshot to replace; there is no reader for
+// either old format. A version-1 or version-2 directory must fail open
+// loudly, by its manifest and by each file header alike.
+func TestVersion2DataDirRefused(t *testing.T) {
+	for _, old := range []byte{1, 2} {
+		dir := t.TempDir()
+		a := openPersistent(t, 1, PersistConfig{Dir: dir})
+		seedStore(a)
+		if err := a.Compact(); err != nil {
+			t.Fatalf("compact: %v", err)
 		}
-	}
+		if err := a.ClosePersistence(); err != nil {
+			t.Fatalf("close: %v", err)
+		}
+		want := fmt.Sprintf("version %d (want %d)", old, snapshotVersion)
+		refused := func(what string) {
+			t.Helper()
+			b := NewSharded(0, 1)
+			err := b.OpenPersistence(PersistConfig{Dir: dir})
+			if !errors.Is(err, ErrBadSnapshot) || !strings.Contains(err.Error(), want) {
+				t.Fatalf("%s: open err = %v, want ErrBadSnapshot naming %s", what, err, want)
+			}
+		}
 
-	// The snapshot file says version 1 (bytes 8..11 of its header).
-	snap := snapPath(dir, 1, 0)
-	data, err := os.ReadFile(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[8] = 1
-	if err := os.WriteFile(snap, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	refused("version-1 snapshot header")
+		// The snapshot file says the old version (bytes 8..11 of its header).
+		snap := snapPath(dir, 1, 0)
+		data, err := os.ReadFile(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data[8] = old
+		if err := os.WriteFile(snap, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		refused(fmt.Sprintf("version-%d snapshot header", old))
 
-	// The manifest says version 1 too: refused before any file is read.
-	if err := os.WriteFile(filepath.Join(dir, manifestName), []byte("mint-data 1\nlayout 1\nshards 1\n"), 0o644); err != nil {
-		t.Fatal(err)
+		// The manifest says so too: refused before any file is read.
+		manifest := fmt.Sprintf("mint-data %d\nlayout 1\nshards 1\n", old)
+		if err := os.WriteFile(filepath.Join(dir, manifestName), []byte(manifest), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		refused(fmt.Sprintf("version-%d manifest", old))
 	}
-	refused("version-1 manifest")
 }

@@ -98,9 +98,9 @@ func twoNodeWorkload(n int) *workload {
 	for _, a := range []*agent.Agent{a1, a2} {
 		sp, tp := a.DrainPatternDeltas()
 		w.patterns = append(w.patterns, &wire.PatternReport{Node: a.Node, SpanPatterns: sp, TopoPatterns: tp})
-		for _, snap := range a.SnapshotBloomFilters() {
-			w.blooms = append(w.blooms, &wire.BloomReport{Node: a.Node, PatternID: snap.PatternID, Filter: snap.Filter})
-		}
+		a.UploadBloomDeltas(func(patternID string, delta *bloom.Filter) {
+			w.blooms = append(w.blooms, &wire.BloomReport{Node: a.Node, PatternID: patternID, Filter: delta})
+		})
 		for id := range w.sampled {
 			spans, _ := a.TakeParams(id)
 			if len(spans) > 0 {

@@ -91,15 +91,17 @@ func TestShardRoutingIsStable(t *testing.T) {
 	patterns, blooms, params := shardWorkload(16)
 	apply(b, patterns, blooms, params)
 	_, pat1, bloom1, _ := b.StorageBytes()
-	// Re-report everything: duplicates must be dropped (patterns) or
-	// replaced (live Bloom snapshots), never double-counted.
+	// Re-report everything: duplicates must be dropped (patterns) or land
+	// in the segment that already holds their bits (Bloom deltas), never
+	// stored twice. Only the merged filter's ID count sees the duplicate,
+	// and one more ID does not widen its varint.
 	apply(b, patterns, blooms, params)
 	_, pat2, bloom2, _ := b.StorageBytes()
 	if pat2 != pat1 {
 		t.Fatalf("pattern re-report changed storage %d -> %d", pat1, pat2)
 	}
 	if bloom2 != bloom1 {
-		t.Fatalf("bloom snapshot replacement changed storage %d -> %d", bloom1, bloom2)
+		t.Fatalf("bloom delta re-delivery changed storage %d -> %d", bloom1, bloom2)
 	}
 }
 

@@ -56,7 +56,10 @@ const (
 )
 
 // snapshotVersion is the current on-disk format version, checked on open.
-const snapshotVersion = 2
+// Version 3 changed what a recBloom record that is not Full means: a delta
+// merged into the pair's live segment, where version 2 replaced that segment
+// with it.
+const snapshotVersion = 3
 
 var (
 	snapMagic = [8]byte{'M', 'I', 'N', 'T', 'S', 'N', 'A', 'P'}
@@ -277,14 +280,11 @@ func encodeShardSnapshot(s *shard, gen uint64) []byte {
 	}
 
 	// Segments keep slice order (replay re-appends them identically). A
-	// segment registered in liveFilters is re-encoded as a replaceable
-	// snapshot report so later periodic reports keep replacing it.
-	liveByIdx := make(map[int]bool, len(s.liveFilters))
-	for _, i := range s.liveFilters {
-		liveByIdx[i] = true
-	}
-	for i, seg := range s.segments {
-		rep := &wire.BloomReport{Node: seg.node, PatternID: seg.patternID, Filter: seg.filter, Full: !liveByIdx[i]}
+	// pair's live segment is re-encoded as a periodic report: it is the last
+	// of its pair's segments, so replay finds no live segment to merge it
+	// into, starts one from it, and later deltas keep merging there.
+	for _, seg := range s.segments {
+		rep := &wire.BloomReport{Node: seg.node, PatternID: seg.patternID, Filter: seg.filter, Full: !seg.live}
 		out = appendRecord(out, recBloom, seg.at, wire.MarshalBloomReport(rep))
 	}
 

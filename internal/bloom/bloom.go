@@ -7,9 +7,11 @@
 // h1 + i*h2 mod m. Parameters match the paper's deployment defaults: a fixed
 // 4 KB bit buffer per filter and a 1% false-positive probability, which
 // together determine the filter's capacity. When the capacity is reached the
-// collector reports the filter and resets it. The bit buffer is fixed in
-// memory only: serialized, a filter takes the size of what it holds (see
-// AppendMarshal).
+// collector reports the filter and resets it; in between, each periodic
+// upload ships only what the filter gained since the previous one (Live), and
+// the backend ORs it into what it already holds (Union). The bit buffer is
+// fixed in memory only: serialized, a filter takes the size of what it holds
+// (see AppendMarshal).
 package bloom
 
 import (
@@ -45,7 +47,7 @@ type Filter struct {
 	k        int    // number of hash probes
 	n        int    // elements inserted
 	capacity int    // elements before FPP is exceeded
-	encSize  int    // cached MarshaledSize; 0 = not computed (cleared by Add and Reset)
+	encSize  int    // cached MarshaledSize; 0 = not computed (cleared by Add, Union and Reset)
 }
 
 // New creates a filter with a bit array of bufBytes bytes sized for the given
@@ -124,6 +126,49 @@ func (f *Filter) Add(key string) {
 	f.encSize = 0
 }
 
+// ErrShape reports a Union of filters that cannot be merged: differing bit
+// count, probe count or capacity (a key's probe positions are a function of
+// the first two), or an element count that would overflow.
+var ErrShape = errors.New("bloom: filters of different shapes cannot be merged")
+
+// sameShape reports whether o probes the same positions as f for every key
+// and fills at the same count.
+func (f *Filter) sameShape(o *Filter) bool {
+	return f.m == o.m && f.k == o.k && f.capacity == o.capacity
+}
+
+// Union merges o into f: the bit arrays are OR-ed and the element counts
+// added, so f afterwards contains every key either filter contained. o is
+// left unchanged. Filters of different shapes are refused with ErrShape and f
+// is left unchanged. The count is a sum of insertions, not of distinct keys:
+// merging the same filter twice leaves the bits as they were and counts its
+// elements twice.
+func (f *Filter) Union(o *Filter) error {
+	if !f.sameShape(o) || o.n > math.MaxInt-f.n {
+		return ErrShape
+	}
+	for i, w := range o.bits {
+		f.bits[i] |= w
+	}
+	f.n += o.n
+	f.encSize = 0
+	return nil
+}
+
+// Covers reports whether f has the shape of o and every bit o has set, that
+// is, whether f answers true for every key o answers true for.
+func (f *Filter) Covers(o *Filter) bool {
+	if !f.sameShape(o) {
+		return false
+	}
+	for i, w := range o.bits {
+		if w&^f.bits[i] != 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // Contains reports whether key may be in the set. False positives occur with
 // probability ≈ FPP at capacity; false negatives never occur — the no-miss
 // property Mint's trace coherence relies on.
@@ -158,21 +203,81 @@ func (f *Filter) Reset() {
 	f.encSize = 0
 }
 
-// Snapshot returns an immutable copy of the filter for reporting. The copy
-// shares no state with the live filter. Its encoded size is computed here,
-// once, so every later MarshaledSize call on the copy (the meter, the batch
-// envelope, the storage accounting) is a field read.
+// Snapshot returns a copy of the filter that shares no state with it. Its
+// encoded size is computed here, once (or taken over, where f already knows
+// its own), so every later MarshaledSize call on the copy (the meter, the
+// batch envelope, the storage accounting) is a field read.
 func (f *Filter) Snapshot() *Filter {
-	c := &Filter{
-		bits:     make([]uint64, len(f.bits)),
-		m:        f.m,
-		k:        f.k,
-		n:        f.n,
-		capacity: f.capacity,
-	}
+	c := f.emptyLike()
 	copy(c.bits, f.bits)
-	c.encSize = c.MarshaledSize()
+	c.n = f.n
+	c.encSize = f.MarshaledSize()
 	return c
+}
+
+// Live is the agent-side state of one mounted filter. Beside the filter
+// itself — which decides when it is full, and is what a full report ships —
+// it keeps the delta: a filter of the same shape holding only the keys added
+// since the previous TakeDelta. A periodic upload ships the delta, so a key's
+// bits cross the network once instead of once per upload until the filter
+// fills. Every delta is a complete filter of its own keys (all k bits of
+// each), so the backend may OR deltas together in any grouping, and a key
+// answers from whichever merged segment received its delta.
+type Live struct {
+	all, delta *Filter
+}
+
+// NewLive creates an empty live filter; the arguments are New's.
+func NewLive(bufBytes int, fpp float64) *Live {
+	all := New(bufBytes, fpp)
+	return &Live{all: all, delta: all.emptyLike()}
+}
+
+// emptyLike returns an empty filter of f's shape.
+func (f *Filter) emptyLike() *Filter {
+	return &Filter{bits: make([]uint64, len(f.bits)), m: f.m, k: f.k, capacity: f.capacity}
+}
+
+// Add inserts key into the filter and into the delta, from one hash pass.
+func (l *Live) Add(key string) {
+	f, d := l.all, l.delta
+	h1, h2 := hash2(key)
+	for i := 0; i < f.k; i++ {
+		pos := (h1 + uint64(i)*h2) % f.m
+		w, bit := pos/64, uint64(1)<<(pos%64)
+		f.bits[w] |= bit
+		d.bits[w] |= bit
+	}
+	f.n++
+	d.n++
+	f.encSize, d.encSize = 0, 0
+}
+
+// Full reports whether the filter has reached capacity.
+func (l *Live) Full() bool { return l.all.Full() }
+
+// TakeDelta returns a detached filter holding exactly the keys added since
+// the previous TakeDelta (or TakeFull), and starts the next delta empty. It
+// returns nil when nothing was added.
+func (l *Live) TakeDelta() *Filter {
+	d := l.delta
+	if d.n == 0 {
+		return nil
+	}
+	l.delta = d.emptyLike()
+	d.encSize = d.MarshaledSize()
+	return d
+}
+
+// TakeFull returns the whole filter, detached, and starts both it and the
+// delta empty: the filter returned holds every key a delta not yet taken
+// would have shipped.
+func (l *Live) TakeFull() *Filter {
+	full := l.all
+	l.all = full.emptyLike()
+	l.delta.Reset()
+	full.encSize = full.MarshaledSize()
+	return full
 }
 
 // Serialized layout — the one filter encoding, used by wire reports, rpc

@@ -214,3 +214,181 @@ func FuzzBloomUnmarshal(f *testing.F) {
 		g.Contains("probe")
 	})
 }
+
+// keysOf names the elements filled() put into a filter of n elements.
+func keysOf(n int) []string {
+	keys := make([]string, n)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("trace-%d", i)
+	}
+	return keys
+}
+
+// Union is what the backend merges a periodic delta into its live segment
+// with: the result answers for every key of both inputs, counts both, and
+// serves a fresh encoded size.
+func TestUnion(t *testing.T) {
+	a := filled(NewDefault(), 40)
+	b := NewDefault()
+	for i := 0; i < 25; i++ {
+		b.Add(fmt.Sprintf("other-%d", i))
+	}
+	a, b = a.Snapshot(), b.Snapshot() // both carry a cached size, as a decoded filter does
+	bBytes := b.AppendMarshal(nil)
+	stale := a.MarshaledSize()
+	if err := a.Union(b); err != nil {
+		t.Fatal(err)
+	}
+	if a.Count() != 65 {
+		t.Fatalf("count after union = %d, want 40 + 25", a.Count())
+	}
+	for _, k := range keysOf(40) {
+		if !a.Contains(k) {
+			t.Fatalf("union lost %s", k)
+		}
+	}
+	for i := 0; i < 25; i++ {
+		if k := fmt.Sprintf("other-%d", i); !a.Contains(k) {
+			t.Fatalf("union lacks %s", k)
+		}
+	}
+	data := a.AppendMarshal(nil)
+	if a.MarshaledSize() != len(data) || len(data) <= stale {
+		t.Fatalf("MarshaledSize after union = %d (was %d), encodes to %d: the cached size must be dropped",
+			a.MarshaledSize(), stale, len(data))
+	}
+	if g, err := Unmarshal(data); err != nil || !g.Covers(a) || !a.Covers(g) {
+		t.Fatalf("merged filter does not round-trip: %v", err)
+	}
+	if !bytes.Equal(b.AppendMarshal(nil), bBytes) {
+		t.Fatal("union changed its argument")
+	}
+	// The bits are idempotent, the count is not: a re-delivered delta is
+	// counted again, which is why the transport applies each exactly once.
+	again := a.Snapshot()
+	if err := again.Union(b); err != nil || !a.Covers(again) || again.Count() != 90 {
+		t.Fatalf("second union of the same filter: err %v, count %d", err, again.Count())
+	}
+}
+
+func TestUnionRejectsDifferentShapes(t *testing.T) {
+	base := filled(NewDefault(), 3)
+	before := base.AppendMarshal(nil)
+	huge := NewDefault()
+	huge.n = int(^uint(0)>>1) - 1
+	for name, o := range map[string]*Filter{
+		"other m":         filled(New(512, DefaultFPP), 3),
+		"other k":         {bits: make([]uint64, len(base.bits)), m: base.m, k: base.k + 1, capacity: base.capacity},
+		"other capacity":  {bits: make([]uint64, len(base.bits)), m: base.m, k: base.k, capacity: base.capacity + 1},
+		"count overflows": huge,
+	} {
+		if err := base.Union(o); err != ErrShape {
+			t.Errorf("%s: err = %v, want ErrShape", name, err)
+		}
+		if name != "count overflows" && (base.Covers(o) || o.Covers(base)) {
+			t.Errorf("%s: Covers must refuse filters of different shapes", name)
+		}
+		if !bytes.Equal(base.AppendMarshal(nil), before) {
+			t.Fatalf("%s: a refused union changed the filter", name)
+		}
+	}
+}
+
+func TestCovers(t *testing.T) {
+	small, big := filled(NewDefault(), 5), filled(NewDefault(), 50)
+	if !big.Covers(small) || small.Covers(big) {
+		t.Fatal("a filter covers the filters of its subsets, and only those")
+	}
+	if !small.Covers(NewDefault()) || !small.Covers(small) {
+		t.Fatal("every filter covers the empty one and itself")
+	}
+}
+
+// Live ships each key once: the deltas taken between fills are disjoint in
+// keys, their union is the whole filter, and a fill empties both.
+func TestLiveDeltasAddUpToTheFilter(t *testing.T) {
+	l := NewLive(DefaultBufferBytes, DefaultFPP)
+	if l.TakeDelta() != nil {
+		t.Fatal("an empty filter has no delta")
+	}
+	whole, merged := NewDefault(), NewDefault()
+	for round, n := range []int{1, 7, 0, 30, 2} {
+		for i := 0; i < n; i++ {
+			k := fmt.Sprintf("r%d-%d", round, i)
+			l.Add(k)
+			whole.Add(k)
+		}
+		d := l.TakeDelta()
+		if n == 0 {
+			if d != nil {
+				t.Fatalf("round %d: nothing added, but a delta of %d", round, d.Count())
+			}
+			continue
+		}
+		if d.Count() != n || d.encSize != len(d.AppendMarshal(nil)) {
+			t.Fatalf("round %d: delta counts %d (cached size %d), want %d", round, d.Count(), d.encSize, n)
+		}
+		if round > 0 && d.Contains("r0-0") {
+			t.Fatalf("round %d: delta re-sends a key of round 0", round)
+		}
+		if err := merged.Union(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(merged.AppendMarshal(nil), whole.AppendMarshal(nil)) {
+		t.Fatal("the deltas do not add up to the filter they were cut from")
+	}
+	l.Add("pending")
+	for i := 0; !l.Full(); i++ {
+		l.Add(fmt.Sprintf("fill-%d", i))
+	}
+	full := l.TakeFull()
+	if !full.Full() || !full.Covers(whole) || !full.Contains("pending") || full.encSize == 0 {
+		t.Fatal("the full filter holds everything since the filter was last empty, pending delta included")
+	}
+	if l.Full() || l.TakeDelta() != nil {
+		t.Fatal("a fill leaves the filter and its delta empty")
+	}
+}
+
+// FuzzBloomUnion merges whatever two decodable filters a disk or a peer
+// could hand the backend. A refused merge changes nothing; an accepted one
+// contains both inputs, adds their counts, and encodes canonically at the
+// size it reports.
+func FuzzBloomUnion(f *testing.F) {
+	cases := codecCases()
+	for _, a := range cases {
+		for _, name := range []string{"handful", "first-dense", "small-buffer", "tight-fpp"} {
+			f.Add(a.AppendMarshal(nil), cases[name].AppendMarshal(nil))
+		}
+	}
+	f.Add(enc(64, 7, 1<<62, 6, formSparse, 1), enc(64, 7, 1<<62, 6, formSparse, 2))
+	f.Fuzz(func(t *testing.T, da, db []byte) {
+		a, errA := Unmarshal(da)
+		b, errB := Unmarshal(db)
+		if errA != nil || errB != nil {
+			return
+		}
+		want := a.n + b.n
+		if err := a.Union(b); err != nil {
+			if err != ErrShape || !bytes.Equal(a.AppendMarshal(nil), da) {
+				t.Fatalf("refused union: err %v, filter changed: %v", err, !bytes.Equal(a.AppendMarshal(nil), da))
+			}
+			return
+		}
+		orig, _ := Unmarshal(da)
+		if !a.Covers(orig) || !a.Covers(b) || a.n != want || want < 0 {
+			t.Fatalf("union covers inputs: %v %v, count %d want %d", a.Covers(orig), a.Covers(b), a.n, want)
+		}
+		if !bytes.Equal(b.AppendMarshal(nil), db) {
+			t.Fatal("union changed its argument")
+		}
+		data := a.AppendMarshal(nil)
+		if a.MarshaledSize() != len(data) {
+			t.Fatalf("MarshaledSize = %d, encodes to %d", a.MarshaledSize(), len(data))
+		}
+		if g, err := Unmarshal(data); err != nil || !bytes.Equal(g.AppendMarshal(nil), data) {
+			t.Fatalf("merged filter is not canonical: %v", err)
+		}
+	})
+}

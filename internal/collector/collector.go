@@ -27,9 +27,10 @@ import (
 type Sink interface {
 	// AcceptPatterns applies a pattern report.
 	AcceptPatterns(r *wire.PatternReport)
-	// AcceptBloom applies a Bloom filter report; immutable marks a full
-	// filter that becomes a frozen segment rather than replacing the
-	// node+pattern's live snapshot.
+	// AcceptBloom applies a Bloom filter report. immutable is the report's
+	// Full flag: a full filter becomes a frozen segment, anything else is a
+	// delta merged into the node+pattern's live segment. For one node and
+	// pattern, reports must be applied in the order they were sent.
 	AcceptBloom(r *wire.BloomReport, immutable bool)
 	// AcceptParams applies a sampled trace's parameter report.
 	AcceptParams(r *wire.ParamsReport)
@@ -104,15 +105,16 @@ func (c *Collector) Ingest(st *trace.SubTrace) agent.IngestResult {
 }
 
 // FlushPatterns performs the periodic upload (default cadence: 1 minute of
-// virtual time): pattern deltas plus current Bloom filter snapshots.
+// virtual time): the patterns discovered and, per Bloom filter, the trace IDs
+// mounted since the previous upload.
 func (c *Collector) FlushPatterns() {
 	sp, tp := c.agent.DrainPatternDeltas()
 	if len(sp) > 0 || len(tp) > 0 {
 		c.send(&wire.PatternReport{Node: c.agent.Node, SpanPatterns: sp, TopoPatterns: tp})
 	}
-	for _, snap := range c.agent.SnapshotBloomFilters() {
-		c.send(&wire.BloomReport{Node: c.agent.Node, PatternID: snap.PatternID, Filter: snap.Filter})
-	}
+	c.agent.UploadBloomDeltas(func(patternID string, delta *bloom.Filter) {
+		c.send(&wire.BloomReport{Node: c.agent.Node, PatternID: patternID, Filter: delta})
+	})
 }
 
 // ReportSampled uploads this host's buffered parameters for a sampled trace

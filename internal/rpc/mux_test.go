@@ -55,7 +55,7 @@ func TestHandshakeMismatchOldClientAgainstNewServer(t *testing.T) {
 	}
 	t.Cleanup(func() { srv.Close() })
 
-	for _, old := range []byte{1, 3} {
+	for _, old := range []byte{1, 3, 4} {
 		nc, err := net.Dial("tcp", addr.String())
 		if err != nil {
 			t.Fatalf("dial: %v", err)
@@ -70,7 +70,7 @@ func TestHandshakeMismatchOldClientAgainstNewServer(t *testing.T) {
 			t.Fatalf("v%d: read server preamble: %v", old, err)
 		}
 		// The answer is the server's own preamble; the old client's
-		// handshake check turns it into "peer speaks protocol version 4,
+		// handshake check turns it into "peer speaks protocol version 5,
 		// want <old>": the magic matched, the versions differ.
 		if string(reply) != string(handshakeBytes()) || reply[len(Magic)] == old {
 			t.Fatalf("v%d: server answered %q, want its own preamble %q", old, reply, handshakeBytes())
@@ -80,9 +80,12 @@ func TestHandshakeMismatchOldClientAgainstNewServer(t *testing.T) {
 		}
 	}
 	// And this side of the same check, when the peer is the old one.
-	err = checkHandshake(append([]byte(Magic), 3))
-	if !errors.Is(err, ErrProtocol) || !strings.Contains(err.Error(), "version 3, want 4") {
-		t.Fatalf("version-3 preamble: err = %v, want ErrProtocol naming version 3, want 4", err)
+	for _, old := range []byte{3, 4} {
+		err = checkHandshake(append([]byte(Magic), old))
+		want := fmt.Sprintf("version %d, want %d", old, ProtoVersion)
+		if !errors.Is(err, ErrProtocol) || !strings.Contains(err.Error(), want) {
+			t.Fatalf("version-%d preamble: err = %v, want ErrProtocol naming %s", old, err, want)
+		}
 	}
 }
 

@@ -62,9 +62,11 @@ const (
 	// Magic opens every connection, client-first.
 	Magic = "MINT"
 	// ProtoVersion is the protocol generation this package speaks; any
-	// other is rejected at the handshake. Version 4 carries Bloom filters in
-	// the compact encoding (bloom.AppendMarshal).
-	ProtoVersion = 4
+	// other is rejected at the handshake. Version 5 changed what a Bloom
+	// report that is not Full means: a delta the server merges into the
+	// pair's live segment, where a version-4 server replaced that segment
+	// with it (and would keep only the last delta).
+	ProtoVersion = 5
 )
 
 // MaxFrameBytes bounds a frame payload (256 MB). A length beyond it is

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/agent"
 	"repro/internal/backend"
+	"repro/internal/bloom"
 	"repro/internal/trace"
 	"repro/internal/wire"
 )
@@ -195,9 +196,9 @@ func TestClientServerIngestAndQuery(t *testing.T) {
 	}
 	sp, tp := a.DrainPatternDeltas()
 	cli.AcceptPatterns(&wire.PatternReport{Node: "n1", SpanPatterns: sp, TopoPatterns: tp})
-	for _, snap := range a.SnapshotBloomFilters() {
-		cli.AcceptBloom(&wire.BloomReport{Node: "n1", PatternID: snap.PatternID, Filter: snap.Filter}, false)
-	}
+	a.UploadBloomDeltas(func(patternID string, delta *bloom.Filter) {
+		cli.AcceptBloom(&wire.BloomReport{Node: "n1", PatternID: patternID, Filter: delta}, false)
+	})
 	cli.MarkSampled("t7", "symptom")
 	if spans, ok := a.TakeParams("t7"); ok {
 		cli.AcceptParams(&wire.ParamsReport{Node: "n1", TraceID: "t7", Spans: spans})

@@ -248,18 +248,17 @@ type Library struct {
 	byID     map[string]*entry
 	bufBytes int
 	fpp      float64
-	// onFull is invoked (outside locks are still held — keep it fast) when
-	// a filter reaches capacity; the collector uses it to report & reset.
-	onFull func(patternID string, snapshot *bloom.Filter)
+	// onFull is invoked from Mount, after the library lock is released, when
+	// a filter reaches capacity; the collector uses it to report the filter.
+	onFull func(patternID string, full *bloom.Filter)
 	total  uint64 // total sub-traces matched
 	keyBuf []byte // Mount's content-key scratch (guarded by mu)
 }
 
 type entry struct {
 	pattern *Pattern
-	filter  *bloom.Filter
+	filter  *bloom.Live
 	matches uint64
-	dirty   bool // filter changed since the last periodic snapshot
 }
 
 // NewLibrary creates a topo pattern library whose per-pattern Bloom filters
@@ -280,9 +279,11 @@ func NewLibrary(bufBytes int, fpp float64) *Library {
 }
 
 // OnFilterFull registers the callback invoked when a pattern's Bloom filter
-// reaches capacity. The filter snapshot passed to the callback is detached;
-// the live filter is reset immediately after.
-func (l *Library) OnFilterFull(fn func(patternID string, snapshot *bloom.Filter)) {
+// reaches capacity. The filter passed to the callback is a detached copy of
+// everything mounted since the filter was last empty; the live filter, and
+// the delta it had pending for the next periodic upload, are empty again by
+// then.
+func (l *Library) OnFilterFull(fn func(patternID string, full *bloom.Filter)) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.onFull = fn
@@ -301,26 +302,21 @@ func (l *Library) Mount(p *Pattern, traceID string) (*Pattern, bool) {
 		key := string(l.keyBuf)
 		cp := p.clone()
 		cp.SetID(parser.PatternID("topo:" + key))
-		e = &entry{pattern: cp, filter: bloom.New(l.bufBytes, l.fpp)}
+		e = &entry{pattern: cp, filter: bloom.NewLive(l.bufBytes, l.fpp)}
 		l.byKey[key] = e
 		l.byID[cp.ID] = e
 	}
 	e.filter.Add(traceID)
 	e.matches++
-	e.dirty = true
 	l.total++
 	var full *bloom.Filter
-	var fullID string
 	if e.filter.Full() {
-		full = e.filter.Snapshot()
-		fullID = e.pattern.ID
-		e.filter.Reset()
-		e.dirty = false
+		full = e.filter.TakeFull()
 	}
 	cb := l.onFull
 	l.mu.Unlock()
 	if full != nil && cb != nil {
-		cb(fullID, full)
+		cb(e.pattern.ID, full)
 	}
 	return e.pattern, !ok
 }
@@ -373,26 +369,28 @@ func (l *Library) Rarity(id string) float64 {
 	return float64(e.matches) / float64(l.total)
 }
 
-// FilterSnapshot holds one pattern's Bloom filter for reporting.
-type FilterSnapshot struct {
+// FilterDelta is what one pattern's Bloom filter gained since the library's
+// previous periodic upload: a filter holding just those trace IDs.
+type FilterDelta struct {
 	PatternID string
 	Filter    *bloom.Filter
 }
 
-// SnapshotFilters returns copies of the live filters that changed since the
-// previous snapshot (sorted by pattern ID) for a periodic upload, without
-// resetting them. Unchanged filters are skipped: the backend already holds
-// their latest snapshot.
-func (l *Library) SnapshotFilters() []FilterSnapshot {
+// TakeFilterDeltas returns, sorted by pattern ID, a delta for every filter
+// that gained trace IDs since the previous call, and starts each one's next
+// delta empty. Filters that gained nothing are skipped: the backend already
+// holds everything they contain. The caller must hand a pattern's deltas and
+// its full filters (OnFilterFull) to the backend in the order they were cut —
+// a delta cut before a fill holds IDs the full filter also holds, and applied
+// after it would start a second, redundant segment for them.
+func (l *Library) TakeFilterDeltas() []FilterDelta {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make([]FilterSnapshot, 0, len(l.byID))
+	var out []FilterDelta
 	for id, e := range l.byID {
-		if e.filter.Count() == 0 || !e.dirty {
-			continue
+		if d := e.filter.TakeDelta(); d != nil {
+			out = append(out, FilterDelta{PatternID: id, Filter: d})
 		}
-		e.dirty = false
-		out = append(out, FilterSnapshot{PatternID: id, Filter: e.filter.Snapshot()})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].PatternID < out[j].PatternID })
 	return out

@@ -100,31 +100,68 @@ func TestMountedTraceIDsInFilter(t *testing.T) {
 		pat, _ := lib.Mount(enc.Pattern, st.TraceID)
 		patID = pat.ID
 	}
-	snaps := lib.SnapshotFilters()
-	if len(snaps) != 1 || snaps[0].PatternID != patID {
-		t.Fatalf("snapshots = %+v", snaps)
+	deltas := lib.TakeFilterDeltas()
+	if len(deltas) != 1 || deltas[0].PatternID != patID {
+		t.Fatalf("deltas = %+v", deltas)
 	}
 	for i := 0; i < 50; i++ {
-		if !snaps[0].Filter.Contains(fmt.Sprintf("t%d", i)) {
+		if !deltas[0].Filter.Contains(fmt.Sprintf("t%d", i)) {
 			t.Fatalf("trace t%d missing from filter — no-miss property violated", i)
 		}
 	}
 }
 
-func TestSnapshotFiltersDirtyOnly(t *testing.T) {
+// A delta holds what was mounted since the previous one, and nothing else:
+// an untouched filter uploads nothing, and an ID crosses the network once.
+func TestFilterDeltasHoldOnlyWhatWasGained(t *testing.T) {
 	lib := NewLibrary(512, 0.01)
 	st, parsed := buildSubTrace("t1")
 	lib.Mount(Encode(st, parsed).Pattern, "t1")
-	if n := len(lib.SnapshotFilters()); n != 1 {
-		t.Fatalf("first snapshot: %d filters", n)
+	first := lib.TakeFilterDeltas()
+	if len(first) != 1 || first[0].Filter.Count() != 1 || !first[0].Filter.Contains("t1") {
+		t.Fatalf("first delta: %+v", first)
 	}
-	// No new mounts: nothing dirty.
-	if n := len(lib.SnapshotFilters()); n != 0 {
-		t.Fatalf("second snapshot should be empty, got %d", n)
+	if n := len(lib.TakeFilterDeltas()); n != 0 {
+		t.Fatalf("no new mounts, but %d deltas", n)
 	}
 	lib.Mount(Encode(st, parsed).Pattern, "t2")
-	if n := len(lib.SnapshotFilters()); n != 1 {
-		t.Fatalf("after new mount: %d filters", n)
+	second := lib.TakeFilterDeltas()
+	if len(second) != 1 || second[0].Filter.Count() != 1 || !second[0].Filter.Contains("t2") {
+		t.Fatalf("second delta: %+v", second)
+	}
+	if second[0].Filter.Contains("t1") {
+		t.Fatal("second delta re-sends t1, uploaded with the first")
+	}
+	if first[0].Filter.Contains("t2") {
+		t.Fatal("a delta already handed over changed with a later mount")
+	}
+}
+
+// A filter that fills ships whole, and takes the pending delta with it: the
+// IDs mounted since the last periodic upload are in the full filter, so the
+// next delta starts from the first mount after the fill.
+func TestFullFilterAbsorbsPendingDelta(t *testing.T) {
+	lib := NewLibrary(64, 0.01)
+	var fulls []*bloom.Filter
+	lib.OnFilterFull(func(_ string, f *bloom.Filter) { fulls = append(fulls, f) })
+	st, parsed := buildSubTrace("seed")
+	pat := Encode(st, parsed).Pattern
+	capacity := bloom.New(64, 0.01).Capacity()
+	lib.Mount(pat, "early")
+	lib.TakeFilterDeltas()
+	for i := 1; i < capacity; i++ {
+		lib.Mount(pat, fmt.Sprintf("t%d", i))
+	}
+	if len(fulls) != 1 || fulls[0].Count() != capacity || !fulls[0].Contains("early") || !fulls[0].Contains("t1") {
+		t.Fatalf("full filters after %d mounts: %d", capacity, len(fulls))
+	}
+	if n := len(lib.TakeFilterDeltas()); n != 0 {
+		t.Fatalf("the fill left %d deltas pending; the full filter already carries them", n)
+	}
+	lib.Mount(pat, "late")
+	next := lib.TakeFilterDeltas()
+	if len(next) != 1 || next[0].Filter.Count() != 1 || !next[0].Filter.Contains("late") {
+		t.Fatalf("delta after the fill: %+v", next)
 	}
 }
 

@@ -46,16 +46,18 @@ func (r *PatternReport) Size() int {
 // Kind implements Message.
 func (r *PatternReport) Kind() string { return "patterns" }
 
-// BloomReport carries one topo pattern's Bloom filter (either full, or the
-// periodic snapshot).
+// BloomReport carries one topo pattern's Bloom filter: either the whole
+// filter, once it is full, or a periodic upload's delta.
 type BloomReport struct {
 	Node      string
 	PatternID string
 	Filter    *bloom.Filter
 	// Full marks a filter that reached capacity and was reported immediately
-	// (an immutable segment at the backend); false means a periodic snapshot
-	// that replaces the previous one. The bit rides in the message framing,
-	// so it does not change Size().
+	// (an immutable segment at the backend, retiring the pair's live one);
+	// false means a delta: a filter of only the trace IDs mounted since the
+	// pair's previous periodic upload, which the backend ORs into the pair's
+	// live segment. The bit rides in the message framing, so it does not
+	// change Size().
 	Full bool
 }
 
