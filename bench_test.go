@@ -255,8 +255,8 @@ func benchRemoteQueryCluster(b *testing.B) (*mint.Cluster, []string) {
 }
 
 // BenchmarkRemoteQueryMany measures a 64-ID positional batch lookup over the
-// multiplexed transport: the batch fans out into pipelined chunk frames
-// across the connection pool instead of one lock-step round trip. Its
+// multiplexed transport: the batch fans out into chunk frames pipelined on
+// the one connection instead of one lock-step round trip. Its
 // allocs/op is budget-gated in CI (tools/benchbudget).
 func BenchmarkRemoteQueryMany(b *testing.B) {
 	cluster, ids := benchRemoteQueryCluster(b)

@@ -145,7 +145,6 @@ func runRemoteBenchJSON(path string, n int) error {
 
 	var res benchfmt.RemoteBench
 	res.Schema = benchfmt.RemoteSchema
-	res.RemoteConns = mint.DefaultRemoteConns
 	res.CapturedTraces = n
 
 	start := time.Now()
@@ -200,8 +199,8 @@ func runRemoteBenchJSON(path string, n int) error {
 	if err := benchfmt.WriteFile(path, &res); err != nil {
 		return err
 	}
-	fmt.Printf("remote transport bench (%d conns): %.0f traces/sec capture, %.1f allocs/op, %.0fus single query, %.0fus QueryMany(64), %.2fus mark -> %s\n",
-		res.RemoteConns, res.Capture.TracesPerSec, res.Capture.AllocsPerOp,
+	fmt.Printf("remote transport bench: %.0f traces/sec capture, %.1f allocs/op, %.0fus single query, %.0fus QueryMany(64), %.2fus mark -> %s\n",
+		res.Capture.TracesPerSec, res.Capture.AllocsPerOp,
 		res.Query.SingleUS, res.Query.Many64US, res.Mark.PerOpUS, path)
 	return nil
 }

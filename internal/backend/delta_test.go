@@ -413,7 +413,7 @@ func runDeltaHistory(t *testing.T, seed int64) {
 	defer px.Close()
 	var cli *rpc.Client
 	for attempt := 0; ; attempt++ {
-		if cli, err = rpc.DialPool(px.Addr(), 2); err == nil {
+		if cli, err = rpc.Dial(px.Addr()); err == nil {
 			break
 		}
 		if attempt >= 50 {

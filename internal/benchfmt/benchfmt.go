@@ -51,7 +51,6 @@ type MarkStats struct {
 // networked deployment driven over a loopback mintd.
 type RemoteBench struct {
 	Schema         string       `json:"schema"`
-	RemoteConns    int          `json:"remote_conns"`
 	CapturedTraces int          `json:"captured_traces"`
 	Capture        CaptureStats `json:"capture"`
 	Query          QueryStats   `json:"query"`

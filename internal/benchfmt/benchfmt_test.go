@@ -20,7 +20,7 @@ func sampleArtifact() *ExpArtifact {
 			{Name: "BenchmarkB", AllocsPerOp: 40, Budget: 45, WithinBudget: true},
 			{Name: "BenchmarkA", AllocsPerOp: 99, Budget: 45},
 		}},
-		Remote: &RemoteBench{Schema: RemoteSchema, RemoteConns: 4,
+		Remote: &RemoteBench{Schema: RemoteSchema, CapturedTraces: 4000,
 			Capture: CaptureStats{TracesPerSec: 9000}},
 	}
 }

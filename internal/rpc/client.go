@@ -21,39 +21,40 @@ import (
 // ErrClientClosed reports a call on a client after Close.
 var ErrClientClosed = errors.New("rpc: client closed")
 
-// Client is a pooled, multiplexed connection to a mintd backend server. It
+// Client is one multiplexed connection to a mintd backend server. It
 // implements collector.Sink (and its batch extension), so collectors and
 // async reporters ship their reports over it unchanged, and the query
 // surface the mint.Cluster read path uses (Query, QueryMany, BatchQuery,
-// FindTraces, FindAnalyze, storage stats), which is how mint.Dial hands back
-// a Cluster-compatible remote handle.
+// FindTraces, FindAnalyze, Stats), which is how mint.Dial hands back a
+// Cluster-compatible remote handle.
 //
-// All methods are safe for concurrent use. Each pooled connection runs a
-// demultiplexing reader goroutine, so many requests pipeline in flight at
-// once; queries round-robin across healthy connections, and large batch
-// lookups fan out in chunks. Ingest writes (reports, sampling marks) are
-// fire-and-forget: they coalesce into sequenced envelope frames journaled
-// until the server acknowledges them, preserving their order, and every
-// synchronous operation (queries, Flush, Close) first flushes the coalescer
-// and waits for the journal to drain — a query never runs ahead of the
-// reports that precede it.
+// All methods are safe for concurrent use. A demultiplexing reader goroutine
+// hands each response to its request by ID, so many requests pipeline in
+// flight on the one connection (the server runs them concurrently), and
+// large batch lookups fan out in chunks. Ingest writes (reports, sampling
+// marks) are fire-and-forget: they coalesce into sequenced envelope frames
+// journaled until the server acknowledges them, preserving their order, and
+// every synchronous operation (queries, Flush, Close) first flushes the
+// coalescer and waits for the journal to drain — a query never runs ahead of
+// the reports that precede it.
 //
-// Failures are survivable by design. A connection-level I/O error closes
-// that connection and a background loop redials it with exponential backoff
-// and jitter; synchronous calls retry transparently on healthy or restored
-// connections within a per-call deadline; journaled ingest envelopes replay
-// on reconnect and the server's per-session dedup window keeps the replay
-// exactly-once. While every connection is down a circuit breaker makes
-// calls wait for recovery — or fail fast once a redial is refused outright.
-// Err distinguishes the failure classes: retryable outages surface as
-// ErrUnavailable-wrapped errors, while protocol violations and server
-// rejections are sticky. A cleanly closed client reports nil.
+// Failures are survivable by design. A connection-level I/O error closes the
+// connection and the maintenance loop redials it with exponential backoff
+// and jitter; synchronous calls retry transparently within a per-call
+// deadline; journaled ingest envelopes replay on reconnect and the server's
+// per-session dedup window keeps the replay exactly-once. While the
+// connection is down a circuit breaker makes calls wait for recovery — or
+// fail fast once a redial is refused outright. Err distinguishes the failure
+// classes: retryable outages surface as ErrUnavailable-wrapped errors, while
+// protocol violations and server rejections are sticky. A cleanly closed
+// client reports nil.
 type Client struct {
-	addr    string      // redial target; empty for wrapped-connection clients
-	slots   []*connSlot // fixed length after dial
-	rr      atomic.Uint32
-	wlane   atomic.Uint32 // slot index carrying the ingest write lane
-	session uint64        // random nonzero ID stamped on ingest envelopes
+	addr    string // redial target
+	session uint64 // random nonzero ID stamped on ingest envelopes
+
+	// cmu guards conn, the connection state machine; it is a leaf lock.
+	cmu  sync.Mutex
+	conn connState
 
 	// errMu guards the client-wide sticky errors; it is a leaf lock.
 	errMu sync.Mutex
@@ -63,17 +64,6 @@ type Client struct {
 	// query that exhausted its retries is an answer silently gone empty.
 	// It must surface through Err, not be swallowed.
 	serverErr error
-
-	// Circuit breaker state, guarded by bmu (leaf lock). The breaker is
-	// open while every slot is down: recoverCh is non-nil and closes on
-	// the first restored connection; refused marks the fail-fast state (a
-	// redial was refused outright, so the server is gone, not partitioned);
-	// unavail is the stable error calls fail with while open.
-	bmu       sync.Mutex
-	down      int
-	refused   bool
-	unavail   error
-	recoverCh chan struct{}
 
 	// mu guards lifecycle and the ingest coalescer.
 	mu      sync.Mutex
@@ -110,21 +100,20 @@ type Client struct {
 // ledger leaves the slow-op path off.
 func (c *Client) Instrument(reg *telemetry.Registry, ledger *telemetry.Ledger) {
 	c.callSeconds.Store(reg.Histogram("mint_rpc_client_call_seconds", "",
-		"Client-observed synchronous RPC call latency, including transparent retries and backoff."))
+		"Client-observed synchronous RPC call latency, including the write barrier, transparent retries and backoff."))
 	if ledger != nil {
 		c.slowOps.Store(ledger)
 	}
 }
 
-// clientConn is one pooled connection: a writer half serialized by wmu
+// clientConn is one live connection: a writer half serialized by wmu
 // (frames are written atomically with a single Write call) and a reader
 // goroutine that demultiplexes responses to their in-flight calls by
 // request ID.
 type clientConn struct {
-	cli  *Client
-	slot *connSlot
-	nc   net.Conn
-	br   *bufio.Reader
+	cli *Client
+	nc  net.Conn
+	br  *bufio.Reader
 
 	wmu sync.Mutex
 	enc []byte // reused frame encode buffer, guarded by wmu
@@ -171,7 +160,7 @@ func putBuf(pb *payloadBuf) {
 }
 
 // DialTimeout bounds how long Dial waits for the TCP connect and the
-// handshake answer, per connection.
+// handshake answer.
 const DialTimeout = 10 * time.Second
 
 // CallTimeout bounds how long a connection with requests in flight may go
@@ -183,7 +172,7 @@ const DialTimeout = 10 * time.Second
 // deadline at all — only in-flight requests arm one.
 const CallTimeout = 2 * time.Minute
 
-// KeepaliveInterval is how often the client pings connections that have
+// KeepaliveInterval is how often the client pings a connection that has
 // nothing in flight, so a dead peer or dropped NAT mapping is noticed while
 // idle instead of on the first real request.
 const KeepaliveInterval = 30 * time.Second
@@ -205,9 +194,9 @@ const ReportFlushBytes = 64 << 10
 // backoff cycle during a transient partition.
 const RetryDeadline = 15 * time.Second
 
-// Redial policy for quarantined pool connections: exponential backoff with
-// ±50% jitter between RedialBackoffBase and RedialBackoffMax, each attempt
-// bounded by RedialDialTimeout.
+// Redial policy for a dead connection: exponential backoff with ±50% jitter
+// between RedialBackoffBase and RedialBackoffMax, each attempt bounded by
+// RedialDialTimeout.
 const (
 	// RedialBackoffBase is the first-retry backoff after a connection dies.
 	RedialBackoffBase = 50 * time.Millisecond
@@ -296,17 +285,6 @@ func SetTimersForTest(tt TestTimers) (restore func()) {
 	}
 }
 
-// newClient builds the shared client state for a pool of conns slots.
-func newClient(addr string, conns int) *Client {
-	c := &Client{addr: addr, quit: make(chan struct{}), session: newSessionID()}
-	c.jcond = sync.NewCond(&c.jmu)
-	c.slots = make([]*connSlot, conns)
-	for i := range c.slots {
-		c.slots[i] = &connSlot{idx: i}
-	}
-	return c
-}
-
 // newSessionID draws the random nonzero client-session ID stamped on ingest
 // envelopes. Collisions across clients would merge their dedup windows, so
 // the ID comes from the system's CSPRNG; the clock fallback exists only for
@@ -321,110 +299,66 @@ func newSessionID() uint64 {
 	return uint64(time.Now().UnixNano()) | 1
 }
 
-// Dial connects to a mintd backend server over a single connection and
-// performs the protocol handshake. Use DialPool for a multi-connection
-// client.
-func Dial(addr string) (*Client, error) { return DialPool(addr, 1) }
-
-// DialPool connects a pool of conns connections (at least one) to a mintd
-// backend server, performing the protocol handshake on each. The pool
-// pipelines and fans out queries across connections; ingest writes ride one
-// designated connection so their order is preserved. Connections that die
-// later are redialed in the background.
-func DialPool(addr string, conns int) (*Client, error) {
-	if conns < 1 {
-		conns = 1
-	}
-	c := newClient(addr, conns)
-	for i := 0; i < conns; i++ {
-		nc, err := net.DialTimeout("tcp", addr, DialTimeout)
-		if err == nil {
-			var cc *clientConn
-			cc, err = newClientConn(c, nc, DialTimeout)
-			if err == nil {
-				cc.slot = c.slots[i]
-				c.slots[i].cc = cc
-				continue
-			}
-			err = fmt.Errorf("rpc: handshake with %s: %w", addr, err)
-		} else {
-			err = fmt.Errorf("rpc: dial %s: %w", addr, err)
-		}
-		for _, sl := range c.slots {
-			if sl.cc != nil {
-				sl.cc.nc.Close()
-			}
-		}
-		return nil, err
-	}
-	c.start()
-	return c, nil
-}
-
-// NewClientConn wraps an established connection (TCP, or an in-memory pipe
-// in tests) into a single-connection client, performing the client side of
-// the handshake. With no address to redial, a wrapped connection that dies
-// stays dead: the breaker opens in its fail-fast state immediately.
-func NewClientConn(conn net.Conn) (*Client, error) {
-	c := newClient("", 1)
-	cc, err := newClientConn(c, conn, DialTimeout)
+// Dial connects to a mintd backend server and performs the protocol
+// handshake. If the connection dies later, the client redials it in the
+// background.
+func Dial(addr string) (*Client, error) {
+	c := &Client{addr: addr, quit: make(chan struct{}), session: newSessionID()}
+	c.jcond = sync.NewCond(&c.jmu)
+	cc, err := c.dialConn(DialTimeout)
 	if err != nil {
 		return nil, err
 	}
-	cc.slot = c.slots[0]
-	c.slots[0].cc = cc
-	c.start()
+	c.conn.cc = cc
+	c.bg.Add(2)
+	go cc.readLoop()
+	go c.maintenanceLoop()
 	return c, nil
 }
 
-// newClientConn performs the client half of the handshake on conn.
-func newClientConn(c *Client, conn net.Conn, timeout time.Duration) (*clientConn, error) {
+// DialPool is Dial; the connection count is ignored.
+//
+// Deprecated: a Client holds exactly one multiplexed connection. DialPool
+// remains only for the benchmark harness under bench/, which pins it; call
+// Dial.
+func DialPool(addr string, _ int) (*Client, error) { return Dial(addr) }
+
+// dialConn connects to the server and performs the client half of the
+// handshake, both bounded by timeout.
+func (c *Client) dialConn(timeout time.Duration) (*clientConn, error) {
+	conn, err := net.DialTimeout("tcp", c.addr, timeout)
+	if err != nil {
+		return nil, fmt.Errorf("rpc: dial %s: %w", c.addr, err)
+	}
 	br := bufio.NewReader(conn)
 	_ = conn.SetDeadline(time.Now().Add(timeout))
-	if _, err := conn.Write(handshakeBytes()); err != nil {
-		conn.Close()
-		return nil, err
-	}
 	echo := make([]byte, len(Magic)+1)
-	if _, err := io.ReadFull(br, echo); err != nil {
-		conn.Close()
-		return nil, err
+	if _, err = conn.Write(handshakeBytes()); err == nil {
+		_, err = io.ReadFull(br, echo)
 	}
-	if err := checkHandshake(echo); err != nil {
+	if err == nil {
+		err = checkHandshake(echo)
+	}
+	if err != nil && echo[0] == respErr {
 		// A version-1 server answers a handshake it cannot speak with a
 		// v1-framed error instead of a preamble; decode it (bounded) so the
 		// operator sees the server's words, not a bare "bad magic".
-		if echo[0] == respErr {
-			if n := binary.BigEndian.Uint32(echo[1:5]); n <= 4096 {
-				body := make([]byte, n)
-				if _, rerr := io.ReadFull(br, body); rerr == nil {
-					d := wire.NewDecoder(body)
-					if msg := d.Str(); d.Done() == nil && msg != "" {
-						err = fmt.Errorf("%w: peer rejected the handshake: %s", ErrProtocol, msg)
-					}
+		if n := binary.BigEndian.Uint32(echo[1:5]); n <= 4096 {
+			body := make([]byte, n)
+			if _, rerr := io.ReadFull(br, body); rerr == nil {
+				d := wire.NewDecoder(body)
+				if msg := d.Str(); d.Done() == nil && msg != "" {
+					err = fmt.Errorf("%w: peer rejected the handshake: %s", ErrProtocol, msg)
 				}
 			}
 		}
+	}
+	if err != nil {
 		conn.Close()
-		return nil, err
+		return nil, fmt.Errorf("rpc: handshake with %s: %w", c.addr, err)
 	}
 	_ = conn.SetDeadline(time.Time{})
 	return &clientConn{cli: c, nc: conn, br: br, pending: map[uint64]*call{}}, nil
-}
-
-// start launches the per-connection reader goroutines, the keepalive loop
-// and the redial/journal maintenance loop once every connection has
-// completed its handshake.
-func (c *Client) start() {
-	for _, sl := range c.slots {
-		if sl.cc != nil {
-			c.bg.Add(1)
-			go sl.cc.readLoop()
-		}
-	}
-	c.bg.Add(2)
-	go c.keepaliveLoop()
-	go c.maintenanceLoop()
 }
 
 // healthy reports whether the connection has not latched a transport error.
@@ -489,53 +423,58 @@ func (cc *clientConn) dispatch(typ byte, id uint64, payload []byte) bool {
 	// Background call: the reader is its only owner. Settle the journal
 	// entry it carried (if any), surface rejections, recycle.
 	seq := ca.seq
+	putCall(ca)
 	switch typ {
 	case respOK:
-		putCall(ca)
 		if seq != 0 {
 			cc.cli.journalAck(seq)
 		}
-	case respBusy:
-		d := wire.NewDecoder(payload)
-		millis := d.Uvarint()
-		if derr := d.Done(); derr != nil {
-			putCall(ca)
-			cc.fail(derr)
+	case respErr, respBusy:
+		err, retryAfter, bad := respFailure(typ, payload)
+		switch {
+		case bad != nil:
+			cc.fail(bad)
 			return false
-		}
-		putCall(ca)
-		if seq != 0 {
+		case seq == 0:
+			if typ == respErr {
+				cc.cli.recordServerErr(err)
+			}
+		case typ == respBusy:
 			// Shed by the server: keep the envelope journaled, resend after
 			// the server's hint. The maintenance loop delivers it when due.
-			cc.cli.journalDelay(seq, time.Duration(millis)*time.Millisecond)
-		}
-	case respErr:
-		d := wire.NewDecoder(payload)
-		msg := d.Str()
-		if derr := d.Done(); derr != nil {
-			putCall(ca)
-			cc.fail(derr)
-			return false
-		}
-		putCall(ca)
-		if seq != 0 {
+			cc.cli.journalDelay(seq, retryAfter)
+		default:
 			// The server consumed the sequence without applying it (a
 			// malformed envelope); replaying it would loop forever.
 			cc.cli.journalDrop(seq)
+			cc.cli.recordServerErr(err)
 		}
-		cc.cli.recordServerErr(fmt.Errorf("rpc: server: %s", msg))
 	default:
-		putCall(ca)
 		cc.fail(fmt.Errorf("%w: response type 0x%02x for a write", ErrProtocol, typ))
 		return false
 	}
 	return true
 }
 
+// respFailure decodes the payload of a respErr or respBusy frame into the
+// error it answers with: the server's rejection, or errServerBusy with the
+// busy frame's retry-after hint. bad reports an undecodable payload — a
+// desynced stream the caller must latch.
+func respFailure(typ byte, payload []byte) (err error, retryAfter time.Duration, bad error) {
+	d := wire.NewDecoder(payload)
+	if typ == respErr {
+		err = fmt.Errorf("rpc: server: %s", d.Str())
+	} else {
+		err = errServerBusy
+		retryAfter = time.Duration(d.Uvarint()) * time.Millisecond
+	}
+	return err, retryAfter, d.Done()
+}
+
 // fail latches the connection's first transport error, closes it, and
 // drains every in-flight call: synchronous callers are woken with the
 // error, journaled envelopes are un-marked so the pump replays them on the
-// next healthy connection, and the slot is handed to the redial loop.
+// redialed connection, and the state machine takes the connection down.
 func (cc *clientConn) fail(err error) {
 	cc.mu.Lock()
 	if cc.err != nil {
@@ -558,23 +497,16 @@ func (cc *clientConn) fail(err error) {
 			ca.done <- struct{}{}
 		}
 	}
-	cc.cli.noteConnDown(cc, err)
-}
-
-// noteConnDown classifies a dead connection's error (fatal errors latch
-// client-wide; transient ones are the redial loop's business) and opens the
-// breaker when the pool's last connection died.
-func (c *Client) noteConnDown(cc *clientConn, err error) {
+	// Fatal errors latch client-wide; transient ones are the redial loop's
+	// business.
 	if !isTransientErr(err) {
-		c.noteFatalErr(err)
+		cc.cli.noteFatalErr(err)
 	}
-	if cc.slot != nil && cc.slot.noteDown(cc) {
-		c.noteSlotDown(err)
-	}
+	cc.cli.transition(cc, nil, err)
 }
 
 // noteFatalErr latches the first non-retryable failure client-wide. A clean
-// Close tears connections down on purpose; the errors that teardown
+// Close tears the connection down on purpose; the errors that teardown
 // provokes are not failures and must not turn a healthy Close into Err.
 func (c *Client) noteFatalErr(err error) {
 	if c.closing.Load() {
@@ -612,7 +544,7 @@ func (c *Client) recordServerErr(err error) {
 // transport or protocol error (sticky); then the first request failure
 // whose result had to be answered with zero values (a dropped report
 // violates no-discard, a query that exhausted its retries would otherwise
-// masquerade as misses); then, while every connection is down, the live
+// masquerade as misses); then, while the connection is down, the live
 // breaker state as an ErrUnavailable-wrapped error (retryable — it clears
 // when a redial lands). A cleanly closed client reports nil.
 func (c *Client) Err() error {
@@ -629,7 +561,7 @@ func (c *Client) Err() error {
 	if c.closing.Load() {
 		return nil
 	}
-	return c.breakerErr()
+	return c.state().err
 }
 
 // Redials returns the number of connections the background redial loop has
@@ -700,11 +632,9 @@ func (cc *clientConn) send(reqType byte, ca *call, encode func([]byte) []byte) e
 func (cc *clientConn) unregister(id uint64) bool {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
-	ca, ok := cc.pending[id]
-	if !ok {
+	if _, ok := cc.pending[id]; !ok {
 		return false
 	}
-	_ = ca
 	delete(cc.pending, id)
 	if len(cc.pending) == 0 {
 		_ = cc.nc.SetReadDeadline(time.Time{})
@@ -731,68 +661,36 @@ func (cc *clientConn) exchange(reqType, respType byte, encode func([]byte) []byt
 	}
 	typ, pb := ca.typ, ca.buf
 	putCall(ca)
-	d := wire.NewDecoder(pb.b)
 	var err error
-	switch {
-	case typ == respErr:
-		msg := d.Str()
-		if derr := d.Done(); derr != nil {
-			cc.fail(derr)
-			err = derr
-		} else {
-			err = fmt.Errorf("rpc: server: %s", msg)
+	switch typ {
+	case respErr, respBusy:
+		var bad error
+		if err, _, bad = respFailure(typ, pb.b); bad != nil {
+			cc.fail(bad)
+			err = bad
 		}
-	case typ == respBusy:
-		d.Uvarint() // retry-after hint; the caller's retry pause covers it
-		if derr := d.Done(); derr != nil {
-			cc.fail(derr)
-			err = derr
-		} else {
-			err = errServerBusy
-		}
-	case typ != respType:
-		err = fmt.Errorf("%w: response type 0x%02x, want 0x%02x", ErrProtocol, typ, respType)
-		cc.fail(err)
-	default:
+	case respType:
+		d := wire.NewDecoder(pb.b)
 		if decode != nil {
 			decode(d)
 		}
-		if derr := d.Done(); derr != nil {
+		if err = d.Done(); err != nil {
 			// A server that emits undecodable responses is as broken as a
 			// dead socket: latch, so the desync cannot corrupt later
 			// exchanges.
-			cc.fail(derr)
-			err = derr
+			cc.fail(err)
 		}
+	default:
+		err = fmt.Errorf("%w: response type 0x%02x, want 0x%02x", ErrProtocol, typ, respType)
+		cc.fail(err)
 	}
 	putBuf(pb)
 	return err
 }
 
-// keepaliveLoop pings idle connections so silent peer death is noticed
-// between requests. A ping is a background call: it arms the read deadline
-// for its own flight and clears it when answered, so an idle connection
-// never accumulates a stale deadline.
-func (c *Client) keepaliveLoop() {
-	defer c.bg.Done()
-	t := time.NewTicker(keepaliveInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-c.quit:
-			return
-		case <-t.C:
-			for _, sl := range c.slots {
-				if cc := sl.get(); cc != nil {
-					cc.pingIfIdle()
-				}
-			}
-		}
-	}
-}
-
 // pingIfIdle issues a background ping on a healthy connection with nothing
-// in flight.
+// in flight. A ping arms the read deadline for its own flight and clears it
+// when answered, so an idle connection never accumulates a stale deadline.
 func (cc *clientConn) pingIfIdle() {
 	cc.mu.Lock()
 	busy := cc.err != nil || len(cc.pending) > 0
@@ -807,36 +705,6 @@ func (cc *clientConn) pingIfIdle() {
 	}
 }
 
-// pickConn selects a healthy connection round-robin; nil when every slot is
-// down (the caller consults the breaker and waits or fails fast).
-func (c *Client) pickConn() *clientConn {
-	n := uint32(len(c.slots))
-	start := c.rr.Add(1)
-	for i := uint32(0); i < n; i++ {
-		if cc := c.slots[(start+i)%n].get(); cc != nil {
-			return cc
-		}
-	}
-	return nil
-}
-
-// writeLane returns the connection carrying the ingest write lane, sticky
-// until its connection dies, then migrated to the next healthy slot.
-func (c *Client) writeLane() *clientConn {
-	n := len(c.slots)
-	start := int(c.wlane.Load()) % n
-	for i := 0; i < n; i++ {
-		idx := (start + i) % n
-		if cc := c.slots[idx].get(); cc != nil {
-			if i != 0 {
-				c.wlane.Store(uint32(idx))
-			}
-			return cc
-		}
-	}
-	return nil
-}
-
 // isClosed reports whether Close has begun.
 func (c *Client) isClosed() bool {
 	c.mu.Lock()
@@ -844,30 +712,26 @@ func (c *Client) isClosed() bool {
 	return c.closed
 }
 
-// call runs one synchronous exchange, without the write barrier — fan-out
-// chunks run it concurrently after their caller ran the barrier once. It is
-// the transparent retry point: transient failures (connection I/O errors,
-// busy shedding, an empty pool) retry with jittered backoff on healthy or
-// redialed connections until the per-call retry deadline; fatal errors and
-// server rejections return immediately. While the breaker is open the wait
-// rides its recovery signal, and the refused state fails fast.
+// call is the one synchronous path: the write barrier, then one exchange,
+// retried transparently. Transient failures (connection I/O errors, busy
+// shedding, a connection that is down) retry with jittered backoff until
+// the per-call retry deadline; fatal errors and server rejections return
+// immediately. While the breaker is open the wait rides its recovery
+// signal, and the refused state fails fast.
 func (c *Client) call(reqType, respType byte, encode func([]byte) []byte, decode func(*wire.Decoder)) error {
-	h := c.callSeconds.Load()
-	if h == nil {
-		return c.callRetry(reqType, respType, encode, decode)
+	if h := c.callSeconds.Load(); h != nil {
+		start := time.Now()
+		defer func() {
+			d := time.Since(start)
+			h.Observe(d)
+			if slow := c.slowOps.Load(); slow != nil && slow.Exceeds(d) {
+				slow.Record("rpc-client-call", opName(reqType), d, 0, -1)
+			}
+		}()
 	}
-	start := time.Now()
-	err := c.callRetry(reqType, respType, encode, decode)
-	d := time.Since(start)
-	h.Observe(d)
-	if slow := c.slowOps.Load(); slow != nil && slow.Exceeds(d) {
-		slow.Record("rpc-client-call", opName(reqType), d, 0, -1)
+	if err := c.barrier(); err != nil {
+		return err
 	}
-	return err
-}
-
-// callRetry is call's uninstrumented body.
-func (c *Client) callRetry(reqType, respType byte, encode func([]byte) []byte, decode func(*wire.Decoder)) error {
 	deadline := time.Now().Add(retryDeadline)
 	var lastErr error
 	for attempt := 0; ; attempt++ {
@@ -877,61 +741,35 @@ func (c *Client) callRetry(reqType, respType byte, encode func([]byte) []byte, d
 		if err := c.fatalErr(); err != nil {
 			return err
 		}
-		if cc := c.pickConn(); cc != nil {
+		if cc := c.state().cc; cc != nil {
 			err := cc.exchange(reqType, respType, encode, decode)
-			if err == nil {
-				return nil
-			}
 			if !isTransientErr(err) {
 				return err
 			}
 			lastErr = err
 		}
-		wait, failFast := c.breakerWait()
-		if failFast != nil {
-			return failFast
+		st := c.state()
+		if st.refused {
+			return st.err
 		}
 		remaining := time.Until(deadline)
 		if remaining <= 0 {
-			return c.unavailableErr(lastErr)
-		}
-		pause := retryPause(attempt)
-		if pause > remaining {
-			pause = remaining
+			if st.err != nil {
+				return st.err
+			}
+			return fmt.Errorf("%w: retry deadline exceeded: %v", ErrUnavailable, lastErr)
 		}
 		c.retries.Add(1)
-		t := time.NewTimer(pause)
-		if wait != nil {
-			select {
-			case <-wait:
-			case <-t.C:
-			case <-c.quit:
-				t.Stop()
-				return ErrClientClosed
-			}
-		} else {
-			select {
-			case <-t.C:
-			case <-c.quit:
-				t.Stop()
-				return ErrClientClosed
-			}
+		t := time.NewTimer(min(retryPause(attempt), remaining))
+		select {
+		case <-st.recovered: // nil, and so never ready, while the connection is up
+		case <-t.C:
+		case <-c.quit:
+			t.Stop()
+			return ErrClientClosed
 		}
 		t.Stop()
 	}
-}
-
-// unavailableErr is the retry-deadline failure: the stable breaker error
-// when the pool is fully down, otherwise the last transient error wrapped
-// retryable.
-func (c *Client) unavailableErr(lastErr error) error {
-	if err := c.breakerErr(); err != nil {
-		return err
-	}
-	if lastErr == nil {
-		lastErr = errors.New("no connection available")
-	}
-	return fmt.Errorf("%w: retry deadline exceeded: %v", ErrUnavailable, lastErr)
 }
 
 // barrier flushes pending coalesced writes and waits until the server has
@@ -947,15 +785,6 @@ func (c *Client) barrier() error {
 	return c.awaitJournal()
 }
 
-// roundTrip is the full synchronous path: write barrier, then one exchange
-// on a pooled connection.
-func (c *Client) roundTrip(reqType, respType byte, encode func([]byte) []byte, decode func(*wire.Decoder)) error {
-	if err := c.barrier(); err != nil {
-		return err
-	}
-	return c.call(reqType, respType, encode, decode)
-}
-
 // maxRetainedBuf bounds the reusable buffers kept between exchanges: one
 // huge QueryMany must not pin hundreds of MB on a long-lived connection
 // whose steady-state frames are a few KB.
@@ -963,14 +792,13 @@ const maxRetainedBuf = 1 << 20
 
 // Ping round-trips an empty frame, verifying the server is responsive.
 func (c *Client) Ping() error {
-	return c.roundTrip(reqPing, respOK, nil, nil)
+	return c.call(reqPing, respOK, nil, nil)
 }
 
 // Close flushes the coalescer and waits (bounded by the retry deadline, or
 // until the breaker knows the server is gone) for journaled ingest
-// envelopes to be acknowledged, then closes every pooled connection.
-// Further calls fail fast with ErrClientClosed. Safe to call more than
-// once.
+// envelopes to be acknowledged, then closes the connection. Further calls
+// fail fast with ErrClientClosed. Safe to call more than once.
 func (c *Client) Close() error {
 	c.mu.Lock()
 	if c.closed {
@@ -983,18 +811,13 @@ func (c *Client) Close() error {
 	_ = c.awaitJournal()
 	c.closing.Store(true)
 	close(c.quit)
+	c.cmu.Lock()
+	cc := c.conn.cc
+	c.conn.cc = nil
+	c.cmu.Unlock()
 	var err error
-	for _, sl := range c.slots {
-		sl.mu.Lock()
-		cc := sl.cc
-		sl.cc = nil
-		sl.mu.Unlock()
-		if cc == nil {
-			continue
-		}
-		if cerr := cc.nc.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
+	if cc != nil {
+		err = cc.nc.Close()
 	}
 	c.bg.Wait()
 	return err
@@ -1002,15 +825,20 @@ func (c *Client) Close() error {
 
 // --- ingest coalescing (collector.Sink) ---
 
-// noteOpsLocked reacts to freshly appended coalesced ops: flush immediately
-// past the size threshold, otherwise make sure the interval timer is armed.
-// Callers hold c.mu.
-func (c *Client) noteOpsLocked() {
-	if len(c.coBuf) >= reportFlushBytes {
-		c.flushOpsLocked()
+// coalesce appends ingest ops to the pending envelope. Every ingest method
+// is fire-and-forget: the envelope ships on the flush interval or at the
+// size threshold, and synchronous operations flush it first. A closed
+// client drops the ops.
+func (c *Client) coalesce(appendOps func([]byte) []byte) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed {
 		return
 	}
-	if c.coTimer == nil && len(c.coBuf) > 0 {
+	c.coBuf = appendOps(c.coBuf)
+	if len(c.coBuf) >= reportFlushBytes {
+		c.flushOpsLocked()
+	} else if c.coTimer == nil {
 		c.coTimer = time.AfterFunc(reportFlushInterval, c.flushOpsTimer)
 	}
 }
@@ -1024,10 +852,10 @@ func (c *Client) flushOpsTimer() {
 }
 
 // flushOpsLocked seals the coalesced ingest ops into one sequenced,
-// journaled envelope and pumps the journal toward the write lane. With
-// every connection down the envelope simply stays journaled — the redial
-// loop replays it when a connection comes back; only journal overflow drops
-// it (and the loss surfaces through Err). Callers hold c.mu.
+// journaled envelope and pumps the journal toward the connection. With the
+// connection down the envelope simply stays journaled — the redial loop
+// replays it when the connection comes back; only journal overflow drops it
+// (and the loss surfaces through Err). Callers hold c.mu.
 func (c *Client) flushOpsLocked() {
 	if c.coTimer != nil {
 		c.coTimer.Stop()
@@ -1049,39 +877,28 @@ func (c *Client) flushOpsLocked() {
 }
 
 // AcceptBatch coalesces one report batch into the ingest envelope — the
-// remote form of the async reporter's amortized delivery. Like every ingest
-// method it is fire-and-forget: the envelope ships on the flush interval or
-// size threshold, and synchronous operations flush it first.
+// remote form of the async reporter's amortized delivery.
 func (c *Client) AcceptBatch(b *wire.Batch) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return
-	}
-	for _, msg := range b.Reports {
-		switch m := msg.(type) {
-		case *wire.PatternReport:
-			c.coBuf = wire.AppendPatternOp(c.coBuf, m)
-		case *wire.BloomReport:
-			c.coBuf = wire.AppendBloomOp(c.coBuf, m)
-		case *wire.ParamsReport:
-			c.coBuf = wire.AppendParamsOp(c.coBuf, m)
-		default:
-			panic(fmt.Sprintf("rpc: batch cannot carry %T", msg))
+	c.coalesce(func(dst []byte) []byte {
+		for _, msg := range b.Reports {
+			switch m := msg.(type) {
+			case *wire.PatternReport:
+				dst = wire.AppendPatternOp(dst, m)
+			case *wire.BloomReport:
+				dst = wire.AppendBloomOp(dst, m)
+			case *wire.ParamsReport:
+				dst = wire.AppendParamsOp(dst, m)
+			default:
+				panic(fmt.Sprintf("rpc: batch cannot carry %T", msg))
+			}
 		}
-	}
-	c.noteOpsLocked()
+		return dst
+	})
 }
 
 // AcceptPatterns coalesces one pattern report.
 func (c *Client) AcceptPatterns(r *wire.PatternReport) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return
-	}
-	c.coBuf = wire.AppendPatternOp(c.coBuf, r)
-	c.noteOpsLocked()
+	c.coalesce(func(dst []byte) []byte { return wire.AppendPatternOp(dst, r) })
 }
 
 // AcceptBloom coalesces one Bloom filter report. The report's Full field is
@@ -1096,64 +913,72 @@ func (c *Client) AcceptBloom(r *wire.BloomReport, immutable bool) {
 		clone.Full = immutable
 		r = &clone
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return
-	}
-	c.coBuf = wire.AppendBloomOp(c.coBuf, r)
-	c.noteOpsLocked()
+	c.coalesce(func(dst []byte) []byte { return wire.AppendBloomOp(dst, r) })
 }
 
 // AcceptParams coalesces one sampled trace's parameter report.
 func (c *Client) AcceptParams(r *wire.ParamsReport) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return
-	}
-	c.coBuf = wire.AppendParamsOp(c.coBuf, r)
-	c.noteOpsLocked()
+	c.coalesce(func(dst []byte) []byte { return wire.AppendParamsOp(dst, r) })
 }
 
 // MarkSampled coalesces a trace-coherence sampling decision — the per-trace
 // write the lock-step transport paid a full round trip for.
 func (c *Client) MarkSampled(traceID, reason string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return
-	}
-	c.coBuf = wire.AppendMarkOp(c.coBuf, traceID, reason)
-	c.noteOpsLocked()
+	c.coalesce(func(dst []byte) []byte { return wire.AppendMarkOp(dst, traceID, reason) })
 }
 
 // --- query surface ---
 
-// fanoutThreshold is the batch size at which QueryMany/BatchQuery split
-// into pipelined chunks instead of one round trip.
-const fanoutThreshold = 16
+// Fan-out shape: a batch splits into at most fanDepth contiguous chunks,
+// pipelined on the connection so the server's query workers overlap them,
+// and never into chunks shorter than minChunk, where per-frame overhead
+// would dominate (a batch below 2*minChunk goes as one request).
+const (
+	fanDepth = 4
+	minChunk = 16
+)
 
 // findFanoutThreshold is the candidate count at which FindTraces decomposes
 // into an exact search plus parallel candidate chunks.
 const findFanoutThreshold = 64
 
-// fanChunk sizes fan-out chunks: enough chunks to keep every pooled
-// connection a few requests deep, but never chunks so small the per-frame
-// overhead dominates.
-func fanChunk(n, conns int) int {
-	per := (n + 4*conns - 1) / (4 * conns)
-	if per < 8 {
-		per = 8
+// fanChunks returns the chunk length and chunk count for fanning out n
+// items. An empty batch is one empty chunk, so it still makes its call.
+func fanChunks(n int) (per, count int) {
+	per = max(minChunk, (n+fanDepth-1)/fanDepth)
+	return per, max(1, (n+per-1)/per)
+}
+
+// fanOut runs do(0) through do(tasks-1) concurrently — each a synchronous
+// call, all pipelined on the one connection — and returns the first error.
+// A single task runs inline.
+func fanOut(tasks int, do func(i int) error) error {
+	if tasks == 1 {
+		return do(0)
 	}
-	return per
+	var (
+		wg    sync.WaitGroup
+		once  sync.Once
+		first error
+	)
+	wg.Add(tasks)
+	for i := 0; i < tasks; i++ {
+		go func() {
+			defer wg.Done()
+			if err := do(i); err != nil {
+				once.Do(func() { first = err })
+			}
+		}()
+	}
+	wg.Wait()
+	return first
 }
 
 // Query answers one trace lookup from the remote backend. Transport errors
 // answer Miss; check Err.
 func (c *Client) Query(traceID string) backend.QueryResult {
 	var r backend.QueryResult
-	err := c.roundTrip(reqQuery, respQueryResult,
+	err := c.call(reqQuery, respQueryResult,
 		func(dst []byte) []byte { return wire.AppendString(dst, traceID) },
 		func(d *wire.Decoder) { r = decodeQueryResult(d) })
 	if err != nil {
@@ -1163,72 +988,34 @@ func (c *Client) Query(traceID string) backend.QueryResult {
 	return r
 }
 
-// queryManyChunk exchanges one positional QueryMany over ids, decoding into
-// out (len(out) == len(ids)). A response with the wrong result count is a
-// broken server, not a miss — it latches through the decoder so callers see
-// Err, not silent all-Miss data.
-func (c *Client) queryManyChunk(ids []string, out []backend.QueryResult) error {
-	return c.call(reqQueryMany, respQueryMany,
-		func(dst []byte) []byte { return appendStringSlice(dst, ids) },
-		func(d *wire.Decoder) {
-			n := d.Count()
-			if n != len(ids) && d.Err() == nil {
-				d.Fail(fmt.Sprintf("QueryMany answered %d results for %d ids", n, len(ids)))
-				return
-			}
-			for i := 0; i < n && d.Err() == nil; i++ {
-				out[i] = decodeQueryResult(d)
-			}
-		})
-}
-
 // QueryMany answers one query per trace ID. Results are positional,
-// identical to serial Query calls. Large batches split into chunks
-// pipelined concurrently across the connection pool, each decoding into its
-// disjoint region of the result slice — fewer round-trip waves than
-// sequential queries, byte-identical answers. Transport errors answer
-// all-Miss; check Err.
+// identical to serial Query calls. Large batches fan out into chunks, each
+// decoding into its disjoint region of the result slice — fewer round-trip
+// waves than sequential queries, byte-identical answers. A response with
+// the wrong result count is a broken server, not a miss: it latches through
+// the decoder so callers see Err, not silent all-Miss data. Transport
+// errors answer all-Miss; check Err.
 func (c *Client) QueryMany(traceIDs []string) []backend.QueryResult {
-	miss := func() []backend.QueryResult { return make([]backend.QueryResult, len(traceIDs)) }
-	if err := c.barrier(); err != nil {
-		c.recordServerErr(err)
-		return miss()
-	}
 	out := make([]backend.QueryResult, len(traceIDs))
-	if len(traceIDs) < fanoutThreshold {
-		if err := c.queryManyChunk(traceIDs, out); err != nil {
-			c.recordServerErr(err)
-			return miss()
-		}
-		return out
-	}
-	per := fanChunk(len(traceIDs), len(c.slots))
-	var (
-		wg   sync.WaitGroup
-		emu  sync.Mutex
-		cerr error
-	)
-	for start := 0; start < len(traceIDs); start += per {
-		end := start + per
-		if end > len(traceIDs) {
-			end = len(traceIDs)
-		}
-		wg.Add(1)
-		go func(start, end int) {
-			defer wg.Done()
-			if err := c.queryManyChunk(traceIDs[start:end], out[start:end]); err != nil {
-				emu.Lock()
-				if cerr == nil {
-					cerr = err
+	per, chunks := fanChunks(len(traceIDs))
+	err := fanOut(chunks, func(i int) error {
+		ids, res := traceIDs[i*per:min(i*per+per, len(traceIDs))], out[i*per:min(i*per+per, len(out))]
+		return c.call(reqQueryMany, respQueryMany,
+			func(dst []byte) []byte { return appendStringSlice(dst, ids) },
+			func(d *wire.Decoder) {
+				n := d.Count()
+				if n != len(ids) && d.Err() == nil {
+					d.Fail(fmt.Sprintf("QueryMany answered %d results for %d ids", n, len(ids)))
+					return
 				}
-				emu.Unlock()
-			}
-		}(start, end)
-	}
-	wg.Wait()
-	if cerr != nil {
-		c.recordServerErr(cerr)
-		return miss()
+				for j := 0; j < n && d.Err() == nil; j++ {
+					res[j] = decodeQueryResult(d)
+				}
+			})
+	})
+	if err != nil {
+		c.recordServerErr(err)
+		return make([]backend.QueryResult, len(traceIDs))
 	}
 	return out
 }
@@ -1264,74 +1051,29 @@ func mergeBatchStats(dst, src *backend.BatchStats) {
 	}
 }
 
-// batchQueryChunk exchanges one BatchQuery over ids.
-func (c *Client) batchQueryChunk(ids []string) (*backend.BatchStats, int, error) {
-	var st *backend.BatchStats
-	var miss int
-	err := c.call(reqBatchAnalyze, respBatchStats,
-		func(dst []byte) []byte { return appendStringSlice(dst, ids) },
-		func(d *wire.Decoder) {
-			st = decodeBatchStats(d)
-			miss = int(d.Uvarint())
-		})
-	return st, miss, err
-}
-
 // BatchQuery aggregates many traces server-side, returning the batch
-// statistics and the number of misses. Large batches split into contiguous
-// chunks pipelined across the pool and merged in input order — the same
-// chunked, order-preserving aggregation the backend runs internally, so the
-// result is byte-identical to one serial call.
+// statistics and the number of misses. Large batches fan out into
+// contiguous chunks merged in input order — the same chunked,
+// order-preserving aggregation the backend runs internally, so the result
+// is byte-identical to one serial call.
 func (c *Client) BatchQuery(traceIDs []string) (*backend.BatchStats, int) {
-	if err := c.barrier(); err != nil {
+	per, chunks := fanChunks(len(traceIDs))
+	stats, misses := make([]*backend.BatchStats, chunks), make([]int, chunks)
+	err := fanOut(chunks, func(i int) error {
+		ids := traceIDs[i*per : min(i*per+per, len(traceIDs))]
+		return c.call(reqBatchAnalyze, respBatchStats,
+			func(dst []byte) []byte { return appendStringSlice(dst, ids) },
+			func(d *wire.Decoder) {
+				stats[i] = decodeBatchStats(d)
+				misses[i] = int(d.Uvarint())
+			})
+	})
+	if err != nil {
 		c.recordServerErr(err)
 		return emptyBatchStats(), len(traceIDs)
 	}
-	if len(traceIDs) < fanoutThreshold {
-		st, miss, err := c.batchQueryChunk(traceIDs)
-		if err != nil {
-			c.recordServerErr(err)
-			return emptyBatchStats(), len(traceIDs)
-		}
-		return st, miss
-	}
-	per := fanChunk(len(traceIDs), len(c.slots))
-	nChunks := (len(traceIDs) + per - 1) / per
-	stats := make([]*backend.BatchStats, nChunks)
-	misses := make([]int, nChunks)
-	var (
-		wg   sync.WaitGroup
-		emu  sync.Mutex
-		cerr error
-	)
-	for i := 0; i < nChunks; i++ {
-		start, end := i*per, (i+1)*per
-		if end > len(traceIDs) {
-			end = len(traceIDs)
-		}
-		wg.Add(1)
-		go func(i, start, end int) {
-			defer wg.Done()
-			st, miss, err := c.batchQueryChunk(traceIDs[start:end])
-			if err != nil {
-				emu.Lock()
-				if cerr == nil {
-					cerr = err
-				}
-				emu.Unlock()
-				return
-			}
-			stats[i], misses[i] = st, miss
-		}(i, start, end)
-	}
-	wg.Wait()
-	if cerr != nil {
-		c.recordServerErr(cerr)
-		return emptyBatchStats(), len(traceIDs)
-	}
-	merged := emptyBatchStats()
-	miss := 0
-	for i := 0; i < nChunks; i++ {
+	merged, miss := emptyBatchStats(), 0
+	for i := range stats {
 		mergeBatchStats(merged, stats[i])
 		miss += misses[i]
 	}
@@ -1345,10 +1087,6 @@ func (c *Client) BatchQuery(traceIDs []string) (*backend.BatchStats, int) {
 // the filter's limit: the exact answer of the serial search, in fewer
 // round-trip waves.
 func (c *Client) FindTraces(f backend.Filter) []backend.FoundTrace {
-	if err := c.barrier(); err != nil {
-		c.recordServerErr(err)
-		return nil
-	}
 	if len(f.Candidates) < findFanoutThreshold || f.SampledOnly || f.Reason != "" {
 		var out []backend.FoundTrace
 		if err := c.call(reqFindTraces, respFound,
@@ -1359,12 +1097,7 @@ func (c *Client) FindTraces(f backend.Filter) []backend.FoundTrace {
 		}
 		return out
 	}
-	return c.findTracesFanned(f)
-}
 
-// findTracesFanned is the decomposed FindTraces: exact search and candidate
-// chunks in flight concurrently.
-func (c *Client) findTracesFanned(f backend.Filter) []backend.FoundTrace {
 	// Deduplicate candidates once: the server deduplicates within one
 	// request, so no chunk may re-test an ID another chunk already covers.
 	cands := make([]string, 0, len(f.Candidates))
@@ -1376,56 +1109,23 @@ func (c *Client) findTracesFanned(f backend.Filter) []backend.FoundTrace {
 		seen[id] = struct{}{}
 		cands = append(cands, id)
 	}
-
-	exact := f
-	exact.Candidates = nil
-	exact.Limit = 0
-
-	per := fanChunk(len(cands), len(c.slots))
-	nChunks := (len(cands) + per - 1) / per
-	pieces := make([][]backend.FoundTrace, nChunks+1)
-	var (
-		wg   sync.WaitGroup
-		emu  sync.Mutex
-		cerr error
-	)
-	report := func(err error) {
-		emu.Lock()
-		if cerr == nil {
-			cerr = err
-		}
-		emu.Unlock()
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		if err := c.call(reqFindTraces, respFound,
-			func(dst []byte) []byte { return appendFilter(dst, exact) },
-			func(d *wire.Decoder) { pieces[0] = decodeFoundTraces(d) }); err != nil {
-			report(err)
-		}
-	}()
-	for i := 0; i < nChunks; i++ {
-		start, end := i*per, (i+1)*per
-		if end > len(cands) {
-			end = len(cands)
-		}
-		cf := f
-		cf.Candidates = cands[start:end]
+	per, chunks := fanChunks(len(cands))
+	// pieces[chunks] is the exact search's answer, the rest the chunks'.
+	pieces := make([][]backend.FoundTrace, chunks+1)
+	err := fanOut(chunks+1, func(i int) error {
+		typ, cf := byte(reqFindCandidates), f
 		cf.Limit = 0
-		wg.Add(1)
-		go func(i int, cf backend.Filter) {
-			defer wg.Done()
-			if err := c.call(reqFindCandidates, respFound,
-				func(dst []byte) []byte { return appendFilter(dst, cf) },
-				func(d *wire.Decoder) { pieces[i+1] = decodeFoundTraces(d) }); err != nil {
-				report(err)
-			}
-		}(i, cf)
-	}
-	wg.Wait()
-	if cerr != nil {
-		c.recordServerErr(cerr)
+		if i == chunks {
+			typ, cf.Candidates = reqFindTraces, nil
+		} else {
+			cf.Candidates = cands[i*per : min(i*per+per, len(cands))]
+		}
+		return c.call(typ, respFound,
+			func(dst []byte) []byte { return appendFilter(dst, cf) },
+			func(d *wire.Decoder) { pieces[i] = decodeFoundTraces(d) })
+	})
+	if err != nil {
+		c.recordServerErr(err)
 		return nil
 	}
 	total := 0
@@ -1451,7 +1151,7 @@ func (c *Client) findTracesFanned(f backend.Filter) []backend.FoundTrace {
 func (c *Client) FindAnalyze(f backend.Filter) (*backend.BatchStats, []backend.FoundTrace) {
 	var st *backend.BatchStats
 	var found []backend.FoundTrace
-	err := c.roundTrip(reqFindAnalyze, respFindAnalyze,
+	err := c.call(reqFindAnalyze, respFindAnalyze,
 		func(dst []byte) []byte { return appendFilter(dst, f) },
 		func(d *wire.Decoder) {
 			st = decodeBatchStats(d)
@@ -1464,47 +1164,17 @@ func (c *Client) FindAnalyze(f backend.Filter) (*backend.BatchStats, []backend.F
 	return st, found
 }
 
-// Stats fetches the server's operations snapshot.
+// Stats fetches the server's operations snapshot — storage accounting and
+// pattern and shard counts — in one round trip. A failure is also recorded
+// for Err, since callers that only want the counts use the zero values.
 func (c *Client) Stats() (Stats, error) {
 	var st Stats
-	err := c.roundTrip(reqStats, respStats, nil,
+	err := c.call(reqStats, respStats, nil,
 		func(d *wire.Decoder) { st = decodeStats(d) })
 	if err != nil {
-		// Most callers (the Cluster's count accessors) discard the error
-		// and use the zero values; make sure Err still tells the story.
 		c.recordServerErr(err)
 	}
 	return st, err
-}
-
-// StorageBytes mirrors the backend's storage accounting through one stats
-// round-trip.
-func (c *Client) StorageBytes() (total, patterns, blooms, params int64) {
-	st, err := c.Stats()
-	if err != nil {
-		return 0, 0, 0, 0
-	}
-	return st.StorageBytes, st.PatternBytes, st.BloomBytes, st.ParamBytes
-}
-
-// SpanPatternCount mirrors the remote backend's distinct span pattern
-// count.
-func (c *Client) SpanPatternCount() int {
-	st, _ := c.Stats()
-	return st.SpanPatterns
-}
-
-// TopoPatternCount mirrors the remote backend's distinct topo pattern
-// count.
-func (c *Client) TopoPatternCount() int {
-	st, _ := c.Stats()
-	return st.TopoPatterns
-}
-
-// ShardCount mirrors the remote backend's shard count.
-func (c *Client) ShardCount() int {
-	st, _ := c.Stats()
-	return st.BackendShards
 }
 
 // FlushPersistence flushes the coalesced ingest writes, waits for their
@@ -1512,11 +1182,11 @@ func (c *Client) ShardCount() int {
 // durable storage — everything reported before the call survives a server
 // crash.
 func (c *Client) FlushPersistence() error {
-	return c.roundTrip(reqFlush, respOK, nil, nil)
+	return c.call(reqFlush, respOK, nil, nil)
 }
 
 // ClosePersistence is the remote analogue of detaching the durable store on
-// Close: it flushes the server's WAL durable, then closes the connections.
+// Close: it flushes the server's WAL durable, then closes the connection.
 // The server itself stays up for other clients.
 func (c *Client) ClosePersistence() error {
 	err := c.FlushPersistence()

@@ -1,8 +1,8 @@
 package rpc
 
 // Payload codecs for the query half of the protocol. The ingest half rides
-// on the wire package's existing report codecs (wire.MarshalBatch); these
-// routines give the read path the same treatment: traces, query results,
+// on the wire package's envelope codec (wire.AppendPatternOp and friends);
+// these routines give the read path the same treatment: traces, query results,
 // filters and batch statistics in the wire layout conventions (uvarint
 // lengths, zigzag varints, fixed field order). Map-shaped results
 // (BatchStats.ByService, Edges) encode in sorted key order so a response is
@@ -270,6 +270,21 @@ type Stats struct {
 	BackendShards int
 }
 
+// BackendStats reads b's operations snapshot: what a stats request answers,
+// and what a local cluster reports in its place.
+func BackendStats(b *backend.Backend) Stats {
+	total, patterns, blooms, params := b.StorageBytes()
+	return Stats{
+		StorageBytes:  total,
+		PatternBytes:  patterns,
+		BloomBytes:    blooms,
+		ParamBytes:    params,
+		SpanPatterns:  b.SpanPatternCount(),
+		TopoPatterns:  b.TopoPatternCount(),
+		BackendShards: b.ShardCount(),
+	}
+}
+
 // appendStats appends an operations snapshot.
 func appendStats(dst []byte, st Stats) []byte {
 	dst = binary.AppendVarint(dst, st.StorageBytes)
@@ -293,10 +308,4 @@ func decodeStats(d *wire.Decoder) Stats {
 		TopoPatterns:  int(d.Uvarint()),
 		BackendShards: int(d.Uvarint()),
 	}
-}
-
-// appendMark appends a sampling mark.
-func appendMark(dst []byte, traceID, reason string) []byte {
-	dst = wire.AppendString(dst, traceID)
-	return wire.AppendString(dst, reason)
 }

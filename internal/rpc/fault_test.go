@@ -27,7 +27,7 @@ func overrideFaultTimers(t *testing.T) {
 }
 
 // A server restart on the same address must be survivable end to end: the
-// pool redials in the background, ingest captured during the outage stays
+// client redials in the background, ingest captured during the outage stays
 // journaled and replays on reconnect, and synchronous calls ride the retry
 // loop instead of failing.
 func TestRedialReplaysJournaledIngest(t *testing.T) {
@@ -38,7 +38,7 @@ func TestRedialReplaysJournaledIngest(t *testing.T) {
 	if err != nil {
 		t.Fatalf("listen: %v", err)
 	}
-	cli, err := DialPool(addr.String(), 2)
+	cli, err := Dial(addr.String())
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
@@ -141,7 +141,7 @@ func TestIngestShedsAndClientReplays(t *testing.T) {
 	t.Cleanup(restore)
 
 	b := backend.NewSharded(0, 1)
-	cli, srv := startLoopbackPool(t, b, 1)
+	cli, srv := startLoopback(t, b)
 	// Under a zero-depth queue, throughput degrades to roughly one envelope
 	// per busy-delay round — that is the backpressure working. Size the
 	// burst so the drain fits the shortened retry deadline with margin.
@@ -174,7 +174,7 @@ func TestIngestShedsAndClientReplays(t *testing.T) {
 func TestServerRecoversHandlerPanic(t *testing.T) {
 	overrideFaultTimers(t)
 	b := backend.NewSharded(0, 1)
-	cli, srv := startLoopbackPool(t, b, 1)
+	cli, srv := startLoopback(t, b)
 	testHookQueryDispatch = func(byte) { panic("injected") }
 	t.Cleanup(func() { testHookQueryDispatch = nil })
 	if res := cli.Query("x"); res.Kind != backend.Miss {
@@ -184,7 +184,7 @@ func TestServerRecoversHandlerPanic(t *testing.T) {
 	if srv.Panics() == 0 {
 		t.Fatal("panic was not counted")
 	}
-	// The connection survives: a later request on the same pool answers.
+	// The connection survives: a later request on it answers.
 	if err := cli.Ping(); err != nil {
 		t.Fatalf("ping after panic: %v", err)
 	}
@@ -203,7 +203,7 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 	t.Cleanup(func() { testHookQueryDispatch = nil })
 
 	b := backend.NewSharded(0, 1)
-	cli, srv := startLoopbackPool(t, b, 1)
+	cli, srv := startLoopback(t, b)
 	got := make(chan backend.QueryResult, 1)
 	go func() { got <- cli.Query("x") }()
 	<-entered
@@ -224,7 +224,7 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 	if res.Kind != backend.Miss {
 		t.Fatalf("drained query answered %+v", res)
 	}
-	// The pool is now legitimately down (the server drained away), so Err
+	// The connection is now legitimately down (the server drained away), so Err
 	// reports the retryable breaker state — but nothing sticky: the drained
 	// query must have completed without recording a failure.
 	if err := cli.Err(); err != nil && !errors.Is(err, ErrUnavailable) {
@@ -245,7 +245,7 @@ func TestShutdownTimesOutOnStuckHandler(t *testing.T) {
 	defer close(release)
 
 	b := backend.NewSharded(0, 1)
-	cli, srv := startLoopbackPool(t, b, 1)
+	cli, srv := startLoopback(t, b)
 	go cli.Query("x")
 	<-entered
 	err := srv.Shutdown(50 * time.Millisecond)

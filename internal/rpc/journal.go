@@ -5,9 +5,9 @@ package rpc
 // client's session ID and the next sequence number, copied into a journal
 // entry, and kept there until the server acknowledges that sequence. A
 // connection death un-marks the entries that were in flight on it; the pump
-// resends unacknowledged entries in sequence order on the current write
-// lane, so after a redial the journal replays exactly the envelopes the
-// server never applied — the server's per-session dedup window absorbs the
+// resends unacknowledged entries in sequence order on the connection, so
+// after a redial the journal replays exactly the envelopes the server never
+// applied — the server's per-session dedup window absorbs the
 // rare duplicate whose acknowledgement was lost in transit.
 
 import (
@@ -20,7 +20,7 @@ import (
 type envEntry struct {
 	seq      uint64
 	buf      []byte    // full envelope payload: session+seq header, then ops
-	sent     bool      // in flight on the write lane, awaiting acknowledgement
+	sent     bool      // in flight, awaiting acknowledgement
 	everSent bool      // sent at least once (a later send is a replay)
 	retryAt  time.Time // earliest resend after a busy response
 }
@@ -110,7 +110,7 @@ const (
 )
 
 // pumpJournal sends every due, unsent journal entry in sequence order on the
-// current write lane. One pump runs at a time; concurrent triggers (a flush,
+// connection. One pump runs at a time; concurrent triggers (a flush,
 // a redial, the maintenance tick) collapse into it. The pump stops at the
 // first entry that is not yet due for resend — envelopes must reach the
 // server in sequence order, and skipping a backed-off entry would only earn
@@ -134,7 +134,7 @@ func (c *Client) pumpJournal() {
 		now := time.Now()
 		for _, je := range c.journal {
 			if je.sent {
-				continue // in flight ahead of us on the lane, order preserved
+				continue // in flight ahead of us, order preserved
 			}
 			if je.retryAt.After(now) {
 				break // not due; successors must not overtake it
@@ -152,12 +152,12 @@ func (c *Client) pumpJournal() {
 		seq, buf := e.seq, e.buf
 		c.jmu.Unlock()
 
-		cc := c.writeLane()
+		cc := c.state().cc
 		if cc == nil {
 			c.jmu.Lock()
 			e.sent = false
 			c.jmu.Unlock()
-			return // every connection is down; the redial loop re-pumps
+			return // the connection is down; the redial loop re-pumps
 		}
 		if replay {
 			c.replays.Add(1)
@@ -189,21 +189,20 @@ func (c *Client) pumpJournal() {
 // ErrUnavailable-wrapped error so callers can tell a retryable outage from a
 // sticky failure.
 func (c *Client) awaitJournal() error {
-	deadline := time.Now().Add(retryDeadline)
-	wake := time.AfterFunc(retryDeadline, func() {
-		c.jmu.Lock()
-		c.jcond.Broadcast()
-		c.jmu.Unlock()
-	})
-	defer wake.Stop()
 	c.jmu.Lock()
 	defer c.jmu.Unlock()
+	if len(c.journal) == 0 {
+		return nil
+	}
+	deadline := time.Now().Add(retryDeadline)
+	wake := time.AfterFunc(retryDeadline, c.wakeJournalWaiters)
+	defer wake.Stop()
 	for len(c.journal) > 0 {
 		if err := c.fatalErr(); err != nil {
 			return err
 		}
-		if err := c.refusedErr(); err != nil {
-			return err
+		if st := c.state(); st.refused {
+			return st.err
 		}
 		if !time.Now().Before(deadline) {
 			return fmt.Errorf("%w: %d ingest envelopes unacknowledged after %v",
@@ -222,7 +221,7 @@ func (c *Client) journalLen() int {
 }
 
 // wakeJournalWaiters unblocks awaitJournal so it can re-check the fatal and
-// breaker conditions.
+// connection-state conditions.
 func (c *Client) wakeJournalWaiters() {
 	c.jmu.Lock()
 	c.jcond.Broadcast()

@@ -15,33 +15,6 @@ import (
 	"repro/internal/wire"
 )
 
-// overrideTimers shortens (or silences) the client's internal timers for a
-// test. Call it BEFORE creating any client so the restore cleanup runs after
-// every client's background goroutines have exited.
-func overrideTimers(t *testing.T, call, keepalive, flush time.Duration) {
-	t.Helper()
-	oc, ok, of := callTimeout, keepaliveInterval, reportFlushInterval
-	callTimeout, keepaliveInterval, reportFlushInterval = call, keepalive, flush
-	t.Cleanup(func() { callTimeout, keepaliveInterval, reportFlushInterval = oc, ok, of })
-}
-
-// startLoopbackPool is startLoopback with a client pool size.
-func startLoopbackPool(t *testing.T, b *backend.Backend, conns int) (*Client, *Server) {
-	t.Helper()
-	srv := NewServer(b)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	t.Cleanup(func() { srv.Close() })
-	cli, err := DialPool(addr.String(), conns)
-	if err != nil {
-		t.Fatalf("dial pool: %v", err)
-	}
-	t.Cleanup(func() { cli.Close() })
-	return cli, srv
-}
-
 // An older peer connecting to this server must learn exactly which versions
 // disagreed: the server answers the bad preamble with its own preamble (so
 // the old client's own handshake check names both versions) and closes.
@@ -130,9 +103,9 @@ func TestHandshakeMismatchNewClientAgainstOldServer(t *testing.T) {
 // as one envelope frame when a synchronous operation flushes them, not one
 // frame each.
 func TestIngestWritesCoalesceIntoOneEnvelope(t *testing.T) {
-	overrideTimers(t, CallTimeout, time.Hour, time.Hour) // no keepalives, no timer flush
+	t.Cleanup(SetTimersForTest(TestTimers{Keepalive: time.Hour, Flush: time.Hour})) // no keepalives, no timer flush
 	b := backend.NewSharded(0, 1)
-	cli, srv := startLoopbackPool(t, b, 2)
+	cli, srv := startLoopback(t, b)
 
 	base := srv.Requests()
 	for i := 0; i < 100; i++ {
@@ -152,14 +125,14 @@ func TestIngestWritesCoalesceIntoOneEnvelope(t *testing.T) {
 	}
 }
 
-// QueryMany over a large batch must split into pipelined chunk frames —
+// QueryMany over a large batch must split into pipelined chunk frames on the
+// one connection —
 // strictly fewer round-trip waves than one frame per ID, pinned by counting
 // the server's request frames rather than timing anything.
 func TestQueryManyPipelinesChunkFrames(t *testing.T) {
-	overrideTimers(t, CallTimeout, time.Hour, time.Hour)
+	t.Cleanup(SetTimersForTest(TestTimers{Keepalive: time.Hour, Flush: time.Hour}))
 	b := backend.NewSharded(0, 1)
-	const conns = 2
-	cli, srv := startLoopbackPool(t, b, conns)
+	cli, srv := startLoopback(t, b)
 
 	ids := make([]string, 64)
 	for i := range ids {
@@ -174,9 +147,8 @@ func TestQueryManyPipelinesChunkFrames(t *testing.T) {
 		t.Fatalf("client error: %v", err)
 	}
 	delta := srv.Requests() - base
-	per := fanChunk(len(ids), conns)
-	want := int64((len(ids) + per - 1) / per)
-	if delta != want {
+	_, chunks := fanChunks(len(ids))
+	if want := int64(chunks); delta != want {
 		t.Fatalf("QueryMany(64) took %d frames, want %d chunk frames", delta, want)
 	}
 	if delta <= 1 || delta >= int64(len(ids)) {
@@ -188,7 +160,7 @@ func TestQueryManyPipelinesChunkFrames(t *testing.T) {
 // two queries dispatched to the worker pool are both in flight before
 // either is allowed to finish.
 func TestServerDispatchesQueriesConcurrently(t *testing.T) {
-	overrideTimers(t, CallTimeout, time.Hour, time.Hour)
+	t.Cleanup(SetTimersForTest(TestTimers{Keepalive: time.Hour, Flush: time.Hour}))
 	arrived := make(chan struct{}, 4)
 	release := make(chan struct{})
 	testHookQueryDispatch = func(byte) {
@@ -198,7 +170,7 @@ func TestServerDispatchesQueriesConcurrently(t *testing.T) {
 	t.Cleanup(func() { testHookQueryDispatch = nil })
 
 	b := backend.NewSharded(0, 1)
-	cli, srv := startLoopbackPool(t, b, 2)
+	cli, srv := startLoopback(t, b)
 
 	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {
@@ -222,14 +194,14 @@ func TestServerDispatchesQueriesConcurrently(t *testing.T) {
 	}
 }
 
-// An idle pooled connection must survive far past the in-flight call
+// An idle connection must survive far past the in-flight call
 // timeout: the read deadline is armed only while requests are in flight and
 // cleared when the connection goes idle, so idleness is never mistaken for
 // a stalled server.
 func TestIdleConnectionOutlivesCallTimeout(t *testing.T) {
-	overrideTimers(t, 150*time.Millisecond, time.Hour, time.Hour)
+	t.Cleanup(SetTimersForTest(TestTimers{Call: 150 * time.Millisecond, Keepalive: time.Hour, Flush: time.Hour}))
 	b := backend.NewSharded(0, 1)
-	cli, _ := startLoopbackPool(t, b, 2)
+	cli, _ := startLoopback(t, b)
 
 	if err := cli.Ping(); err != nil { // arms and then clears the deadline
 		t.Fatalf("first ping: %v", err)
@@ -243,38 +215,43 @@ func TestIdleConnectionOutlivesCallTimeout(t *testing.T) {
 	}
 }
 
-// Keepalive pings must flow on idle connections (noticing silent peer death
-// between requests) without latching errors on a healthy idle pool.
+// Keepalive pings must flow on an idle connection (noticing silent peer death
+// between requests) without latching errors on a healthy idle client.
 func TestKeepalivePingsIdleConnections(t *testing.T) {
-	overrideTimers(t, 200*time.Millisecond, 50*time.Millisecond, time.Hour)
+	t.Cleanup(SetTimersForTest(TestTimers{Call: 200 * time.Millisecond, Keepalive: 50 * time.Millisecond, Flush: time.Hour}))
 	b := backend.NewSharded(0, 1)
-	cli, srv := startLoopbackPool(t, b, 2)
+	cli, srv := startLoopback(t, b)
 
 	base := srv.Requests()
 	time.Sleep(400 * time.Millisecond) // several keepalive intervals
 	if err := cli.Err(); err != nil {
-		t.Fatalf("keepalive latched an error on a healthy pool: %v", err)
+		t.Fatalf("keepalive latched an error on a healthy client: %v", err)
 	}
 	if delta := srv.Requests() - base; delta == 0 {
 		t.Fatal("no keepalive pings reached the server")
 	}
 }
 
-// With the whole pool quarantined, writes drop (the error is latched) and
-// queries answer zero values without hanging on the write barrier.
-func TestPoolQuarantineFailsFast(t *testing.T) {
-	overrideTimers(t, CallTimeout, time.Hour, time.Hour)
+// With the server gone, the redial is refused and the breaker fails calls
+// fast: writes drop (the error is latched) and queries answer zero values
+// without waiting out the retry deadline on the write barrier.
+func TestDeadServerFailsFast(t *testing.T) {
+	t.Cleanup(SetTimersForTest(TestTimers{Keepalive: time.Hour, Flush: time.Hour}))
 	b := backend.NewSharded(0, 1)
-	cli, srv := startLoopbackPool(t, b, 3)
+	cli, srv := startLoopback(t, b)
 	if err := cli.Ping(); err != nil {
 		t.Fatalf("ping: %v", err)
 	}
 	srv.Close()
+	start := time.Now()
 	cli.MarkSampled("x", "y") // coalesces, then drops at flush
 	if res := cli.Query("x"); res.Kind != backend.Miss {
-		t.Fatalf("query against dead pool: %+v", res)
+		t.Fatalf("query against dead server: %+v", res)
+	}
+	if d := time.Since(start); d > RetryDeadline/2 {
+		t.Fatalf("calls against a refusing server took %v; the breaker should fail them fast", d)
 	}
 	if cli.Err() == nil {
-		t.Fatal("pool death did not latch")
+		t.Fatal("server death did not latch")
 	}
 }

@@ -1,17 +1,18 @@
 // Package rpc is the network transport that turns the in-process Mint
 // library into a deployable client/server system: a multiplexed,
 // length-prefixed binary protocol over TCP carrying the same report payloads
-// the collectors and the durable storage engine already encode (wire.Batch
-// and friends), plus the backend's query surface (Query, QueryMany,
-// BatchQuery, FindTraces, FindAnalyze) and an operations surface (stats,
-// durable flush).
+// the collectors and the durable storage engine already encode (coalesced
+// into sequenced wire envelopes), plus the backend's query surface (Query,
+// QueryMany, BatchQuery, FindTraces, FindAnalyze) and an operations surface
+// (stats, durable flush).
 //
 // The Server side hosts a *backend.Backend — typically the sharded, durable
-// backend inside a mintd daemon. The Client side implements collector.Sink,
-// so the existing agents, collectors and async reporters ship their reports
-// to a remote backend with no changes to the ingest pipeline; it also
-// implements the query surface the mint.Cluster read path uses, which is how
-// mint.Dial returns a Cluster-compatible remote handle.
+// backend inside a mintd daemon. The Client side is one multiplexed
+// connection; it implements collector.Sink, so the existing agents,
+// collectors and async reporters ship their reports to a remote backend with
+// no changes to the ingest pipeline, and it implements the query surface the
+// mint.Cluster read path uses, which is how mint.Dial returns a
+// Cluster-compatible remote handle.
 //
 // # Framing
 //
@@ -21,13 +22,16 @@
 //
 //	[1-byte type][8-byte big-endian request ID][4-byte big-endian length][payload]
 //
-// Payload encodings follow the wire package's layout conventions (uvarint
-// lengths, zigzag varints, fixed field order, no tags). The request ID
-// multiplexes the stream: a client may have many requests in flight on one
-// connection, the server may answer them out of order (each response echoes
-// the ID of the request it answers), and fire-and-forget ingest writes
-// pipeline without waiting. Responses to the ingest lane stay ordered
-// per-connection so report application order matches a serial client.
+// Both sides read frames with readFrameHeader and readFramePayload, which
+// grow the payload buffer as bytes arrive rather than to the length a header
+// claims. Payload encodings follow the wire package's layout conventions
+// (uvarint lengths, zigzag varints, fixed field order, no tags). The request
+// ID multiplexes the stream: a client may have many requests in flight on
+// its connection, the server may answer them out of order (each response
+// echoes the ID of the request it answers), and fire-and-forget ingest
+// writes pipeline without waiting. Responses to ingest envelopes stay
+// ordered per connection so report application order matches a serial
+// client.
 //
 // # Failure semantics
 //
@@ -35,13 +39,13 @@
 // rejects a handshake answers with its own preamble (so a version-mismatched
 // peer can say which versions disagreed) and closes. Connection-level I/O
 // errors are transient: the failed connection closes, its in-flight
-// synchronous calls retry on a pooled sibling, and a background redial loop
-// restores the slot with exponential backoff and jitter. Coalesced ingest
-// envelopes carry a client-session and sequence ID and are journaled in the
-// client until acknowledged; on reconnect the journal replays in order
-// against the server's per-session dedup window, so a retried envelope is
-// applied exactly once. Protocol violations and decode desyncs are fatal and
-// latch client-wide (a broken peer cannot be retried into correctness), and
+// synchronous calls retry, and the client's maintenance loop redials with
+// exponential backoff and jitter. Coalesced ingest envelopes carry a
+// client-session and sequence ID and are journaled in the client until
+// acknowledged; on reconnect the journal replays in order against the
+// server's per-session dedup window, so a retried envelope is applied exactly
+// once. Protocol violations and decode desyncs are fatal and latch
+// client-wide (a broken peer cannot be retried into correctness), and
 // server-side application errors (a durable-flush I/O failure) travel back
 // as error frames without poisoning the connection. An overloaded server
 // answers ingest with a busy frame instead of queueing without bound; the
@@ -74,11 +78,11 @@ const (
 // unbounded allocation.
 const MaxFrameBytes = 1 << 28
 
-// Request frame types.
+// Request frame types. 0x02 and 0x03 (one report batch, one sampling mark
+// per frame) are retired in favour of envelopes; a server answers them as
+// unknown types, so they must not be reused within this protocol version.
 const (
 	reqPing           = 0x01 // empty payload; respOK
-	reqBatch          = 0x02 // wire.MarshalBatch payload; respOK
-	reqMark           = 0x03 // traceID, reason; respOK
 	reqQuery          = 0x04 // traceID; respQueryResult
 	reqQueryMany      = 0x05 // id list; respQueryMany
 	reqBatchAnalyze   = 0x06 // id list; respBatchStats
@@ -134,53 +138,62 @@ const readChunkBytes = 1 << 20
 
 // readFrame reads one frame from r, enforcing MaxFrameBytes. buf is an
 // optional reusable payload buffer; the returned payload aliases it when it
-// is large enough. Payloads larger than the buffer are read in bounded
-// chunks with geometric buffer growth, so the allocation tracks the bytes
-// received instead of the length the header claims.
+// is large enough.
 func readFrame(r io.Reader, buf []byte) (typ byte, id uint64, payload, newBuf []byte, err error) {
-	var hdr [frameHeaderBytes]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	typ, id, n, err := readFrameHeader(r)
+	if err != nil {
 		return 0, 0, nil, buf, err
 	}
-	id = binary.BigEndian.Uint64(hdr[1:9])
-	n := binary.BigEndian.Uint32(hdr[9:13])
-	if n > MaxFrameBytes {
-		return 0, 0, nil, buf, fmt.Errorf("%w: frame of %d bytes exceeds limit", ErrProtocol, n)
+	payload, newBuf, err = readFramePayload(r, n, buf)
+	return typ, id, payload, newBuf, err
+}
+
+// readFrameHeader reads one frame header. A declared length past
+// MaxFrameBytes is an ErrProtocol error that still reports the request ID,
+// so the server can say why it drops the connection.
+func readFrameHeader(r io.Reader) (typ byte, id uint64, n uint32, err error) {
+	var hdr [frameHeaderBytes]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return 0, 0, 0, err
 	}
+	id = binary.BigEndian.Uint64(hdr[1:9])
+	n = binary.BigEndian.Uint32(hdr[9:13])
+	if n > MaxFrameBytes {
+		return 0, id, 0, fmt.Errorf("%w: frame of %d bytes exceeds limit", ErrProtocol, n)
+	}
+	return hdr[0], id, n, nil
+}
+
+// readFramePayload reads the n-byte payload that follows a frame header.
+// Payloads larger than buf are read in bounded chunks with geometric buffer
+// growth, so the allocation tracks the bytes received instead of the length
+// the header claims.
+func readFramePayload(r io.Reader, n uint32, buf []byte) (payload, newBuf []byte, err error) {
 	if uint32(cap(buf)) >= n {
 		payload = buf[:n]
 		if _, err := io.ReadFull(r, payload); err != nil {
-			return 0, 0, nil, buf, fmt.Errorf("rpc: truncated frame: %w", err)
+			return nil, buf, fmt.Errorf("rpc: truncated frame: %w", err)
 		}
-		return hdr[0], id, payload, buf, nil
+		return payload, buf, nil
 	}
 	payload = buf[:0]
 	remaining := int(n)
 	for remaining > 0 {
 		if cap(payload) == len(payload) {
-			newCap := 2 * cap(payload)
-			if newCap < readChunkBytes {
-				newCap = readChunkBytes
-			}
-			if newCap > int(n) {
-				newCap = int(n)
-			}
+			newCap := min(max(2*cap(payload), readChunkBytes), int(n))
 			grown := make([]byte, len(payload), newCap)
 			copy(grown, payload)
 			payload = grown
 		}
-		step := cap(payload) - len(payload)
-		if step > remaining {
-			step = remaining
-		}
+		step := min(cap(payload)-len(payload), remaining)
 		chunk := payload[len(payload) : len(payload)+step]
 		if _, err := io.ReadFull(r, chunk); err != nil {
-			return 0, 0, nil, payload, fmt.Errorf("rpc: truncated frame: %w", err)
+			return nil, payload, fmt.Errorf("rpc: truncated frame: %w", err)
 		}
 		payload = payload[:len(payload)+step]
 		remaining -= step
 	}
-	return hdr[0], id, payload, payload, nil
+	return payload, payload, nil
 }
 
 // appendFrame appends one frame to dst with the body encoded in place:

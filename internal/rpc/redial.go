@@ -1,11 +1,12 @@
 package rpc
 
-// Connection recovery: pooled connections live in slots; a slot whose
-// connection dies is redialed in the background with exponential backoff and
-// jitter instead of staying quarantined forever. A circuit breaker tracks
-// whether any slot is up — while all are down, synchronous calls wait for
-// recovery up to their deadline, except when the last redial attempt was
-// refused outright (the server is gone, not partitioned), which fails fast.
+// The connection state machine. The client holds one connection, which is
+// up or down. A connection that dies is redialed by the maintenance loop
+// with exponential backoff and jitter. While it is down, synchronous calls
+// wait for recovery up to their deadline (the circuit breaker), except once
+// a redial was refused outright — the server is gone, not partitioned —
+// which fails them fast. The same loop also pumps the ingest journal and
+// pings an idle connection.
 
 import (
 	"errors"
@@ -14,228 +15,132 @@ import (
 	"math/rand"
 	"net"
 	"os"
-	"sync"
 	"syscall"
 	"time"
 )
 
-// ErrUnavailable reports that every pooled connection was down and the
+// ErrUnavailable reports that the connection was down and the
 // retry/redial machinery could not complete the call in time. It is the
 // retryable failure class: the client keeps redialing in the background, and
 // a later call may succeed. Protocol violations and server rejections do not
 // wrap it — those are sticky.
 var ErrUnavailable = errors.New("rpc: server unavailable")
 
-// connSlot holds one pool position: the live connection, or the backoff
-// state of the redial loop trying to restore it.
-type connSlot struct {
-	idx int
-
-	mu      sync.Mutex
-	cc      *clientConn // nil while down
-	backoff time.Duration
-	nextTry time.Time
+// connState is the client's connection state, guarded by Client.cmu. Up:
+// cc is set and every other field is zero. Down: cc is nil, recovered closes
+// when a redial brings a connection back, err is the stable error calls fail
+// with, and redialAt is when the next attempt is due; refused marks the
+// fail-fast substate.
+type connState struct {
+	cc        *clientConn
+	recovered chan struct{}
+	err       error
+	refused   bool
+	backoff   time.Duration
+	redialAt  time.Time
 }
 
-// get returns the slot's connection if it is up and healthy.
-func (sl *connSlot) get() *clientConn {
-	sl.mu.Lock()
-	cc := sl.cc
-	sl.mu.Unlock()
-	if cc == nil || !cc.healthy() {
-		return nil
+// state reads the state machine. A connection that has latched an error but
+// not yet been taken down reads as neither up nor down: callers retry.
+func (c *Client) state() connState {
+	c.cmu.Lock()
+	st := c.conn
+	c.cmu.Unlock()
+	if st.cc != nil && !st.cc.healthy() {
+		st.cc = nil
 	}
-	return cc
+	return st
 }
 
-// noteDown clears the slot if cc is still its current occupant and reports
-// whether it was.
-func (sl *connSlot) noteDown(cc *clientConn) bool {
-	sl.mu.Lock()
-	defer sl.mu.Unlock()
-	if sl.cc != cc {
-		return false
-	}
-	sl.cc = nil
-	sl.backoff = 0
-	sl.nextTry = time.Time{} // first redial attempt is immediate
-	return true
-}
-
-// dueForRedial reports whether the slot is down and past its backoff.
-func (sl *connSlot) dueForRedial(now time.Time) bool {
-	sl.mu.Lock()
-	defer sl.mu.Unlock()
-	return sl.cc == nil && !now.Before(sl.nextTry)
-}
-
-// redialFailed advances the slot's backoff: exponential with ±50% jitter,
-// capped at redialBackoffMax.
-func (sl *connSlot) redialFailed() {
-	sl.mu.Lock()
-	defer sl.mu.Unlock()
-	if sl.backoff == 0 {
-		sl.backoff = redialBackoffBase
-	} else {
-		sl.backoff *= 2
-		if sl.backoff > redialBackoffMax {
-			sl.backoff = redialBackoffMax
+// transition is the state machine's one transition. A non-nil next comes up
+// and closes the breaker. Otherwise prev, the live connection, died of
+// cause; or, with prev nil, a redial attempt failed with cause, which
+// advances the backoff (exponential with ±50% jitter, capped at
+// redialBackoffMax) and, when the attempt was refused, enters the fail-fast
+// substate. Every transition wakes the write barrier to re-check.
+func (c *Client) transition(prev, next *clientConn, cause error) {
+	c.cmu.Lock()
+	st := &c.conn
+	switch {
+	case next != nil:
+		if st.recovered != nil {
+			close(st.recovered)
 		}
+		*st = connState{cc: next}
+	case prev != nil:
+		if st.cc != prev {
+			c.cmu.Unlock() // already replaced, or taken by Close
+			return
+		}
+		// The first redial attempt is immediate.
+		*st = connState{recovered: make(chan struct{}),
+			err: fmt.Errorf("%w: connection down: %v", ErrUnavailable, cause)}
+	default:
+		st.backoff = min(max(redialBackoffBase, 2*st.backoff), redialBackoffMax)
+		st.redialAt = time.Now().Add(st.backoff/2 + time.Duration(rand.Int63n(int64(st.backoff)/2+1)))
+		st.refused = st.refused || errors.Is(cause, syscall.ECONNREFUSED)
 	}
-	wait := sl.backoff/2 + time.Duration(rand.Int63n(int64(sl.backoff)/2+1))
-	sl.nextTry = time.Now().Add(wait)
+	c.cmu.Unlock()
+	c.wakeJournalWaiters()
 }
 
-// maintenanceLoop is the background recovery driver: on every tick it
-// redials down slots that are past their backoff and re-pumps the ingest
-// journal (delivering busy-delayed entries that have come due, and anything
-// a fresh connection can now carry).
+// maintenanceLoop runs the state machine: on every tick it redials a down
+// connection that is past its backoff, pings an up one that has idled a
+// keepalive interval, and re-pumps the ingest journal (delivering
+// busy-delayed entries that have come due, and anything a fresh connection
+// can now carry).
 func (c *Client) maintenanceLoop() {
 	defer c.bg.Done()
 	t := time.NewTicker(redialTick)
 	defer t.Stop()
+	nextPing := time.Now().Add(keepaliveInterval)
 	for {
 		select {
 		case <-c.quit:
 			return
-		case <-t.C:
-		}
-		if c.addr != "" {
-			now := time.Now()
-			for _, sl := range c.slots {
-				if sl.dueForRedial(now) {
-					c.redialSlot(sl)
+		case now := <-t.C:
+			switch st := c.state(); {
+			case st.cc != nil:
+				if !now.Before(nextPing) {
+					st.cc.pingIfIdle()
+					nextPing = now.Add(keepaliveInterval)
 				}
+			case st.recovered != nil && !now.Before(st.redialAt):
+				c.redial()
 			}
 		}
 		c.pumpJournal()
 	}
 }
 
-// redialSlot attempts one reconnect for a down slot.
-func (c *Client) redialSlot(sl *connSlot) {
-	nc, err := net.DialTimeout("tcp", c.addr, redialDialTimeout)
-	var cc *clientConn
-	if err == nil {
-		cc, err = newClientConn(c, nc, redialDialTimeout)
-	}
+// redial attempts one reconnect for the down connection.
+func (c *Client) redial() {
+	cc, err := c.dialConn(redialDialTimeout)
 	if err != nil {
-		sl.redialFailed()
-		c.noteRedialFailed(err)
+		c.transition(nil, nil, err)
 		return
 	}
+	// Install under c.mu so Close, which sets closed under it first, either
+	// sees this connection to close it or makes us drop it here.
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		nc.Close()
+		cc.nc.Close()
 		return
 	}
-	cc.slot = sl
-	sl.mu.Lock()
-	sl.cc = cc
-	sl.backoff = 0
-	sl.mu.Unlock()
+	c.transition(nil, cc, nil)
 	c.bg.Add(1)
 	c.mu.Unlock()
 	go cc.readLoop()
 	c.redials.Add(1)
-	c.noteSlotUp()
 	c.pumpJournal()
-}
-
-// --- circuit breaker ---
-
-// noteSlotDown opens the breaker when the last healthy slot dies. For a
-// wrapped-connection client (no redial address) a down pool can never
-// recover, so the breaker opens in its refused, fail-fast state immediately.
-func (c *Client) noteSlotDown(cause error) {
-	c.bmu.Lock()
-	c.down++
-	opened := false
-	if c.down >= len(c.slots) && c.recoverCh == nil {
-		c.recoverCh = make(chan struct{})
-		c.unavail = fmt.Errorf("%w: all %d connections down: %v", ErrUnavailable, len(c.slots), cause)
-		c.refused = c.addr == ""
-		opened = true
-	}
-	c.bmu.Unlock()
-	if opened {
-		c.wakeJournalWaiters()
-	}
-}
-
-// noteSlotUp closes the breaker on the first restored connection.
-func (c *Client) noteSlotUp() {
-	c.bmu.Lock()
-	c.down--
-	if ch := c.recoverCh; ch != nil {
-		close(ch)
-		c.recoverCh = nil
-		c.refused = false
-		c.unavail = nil
-	}
-	c.bmu.Unlock()
-	c.wakeJournalWaiters()
-}
-
-// noteRedialFailed records a failed reconnect attempt. A refused connection
-// means the server is definitively absent (nothing is listening), so calls
-// waiting on the open breaker fail fast instead of burning their deadline.
-func (c *Client) noteRedialFailed(err error) {
-	refused := errors.Is(err, syscall.ECONNREFUSED)
-	c.bmu.Lock()
-	if c.recoverCh != nil && refused && !c.refused {
-		c.refused = true
-	} else {
-		refused = false
-	}
-	c.bmu.Unlock()
-	if refused {
-		c.wakeJournalWaiters()
-	}
-}
-
-// breakerWait returns the channel to wait on while the breaker is open (nil
-// when at least one slot is up) and the stable unavailable error to fail
-// fast with (non-nil only in the refused state).
-func (c *Client) breakerWait() (wait <-chan struct{}, failFast error) {
-	c.bmu.Lock()
-	defer c.bmu.Unlock()
-	if c.recoverCh == nil {
-		return nil, nil
-	}
-	if c.refused {
-		return nil, c.unavail
-	}
-	return c.recoverCh, nil
-}
-
-// refusedErr returns the stable unavailable error when the breaker is open
-// in its fail-fast state.
-func (c *Client) refusedErr() error {
-	c.bmu.Lock()
-	defer c.bmu.Unlock()
-	if c.recoverCh != nil && c.refused {
-		return c.unavail
-	}
-	return nil
-}
-
-// breakerErr returns the stable unavailable error while the breaker is open.
-func (c *Client) breakerErr() error {
-	c.bmu.Lock()
-	defer c.bmu.Unlock()
-	if c.recoverCh != nil {
-		return c.unavail
-	}
-	return nil
 }
 
 // isTransientErr classifies an exchange or send failure: connection-level
 // I/O errors (resets, timeouts, closed sockets, truncated streams) and busy
-// shedding are retryable on another or a redialed connection; protocol
-// violations, decode desyncs and server rejections are not — retrying a
-// broken peer cannot make it correct.
+// shedding are retryable on a redialed connection; protocol violations,
+// decode desyncs and server rejections are not — retrying a broken peer
+// cannot make it correct.
 func isTransientErr(err error) bool {
 	switch {
 	case err == nil:
@@ -264,7 +169,7 @@ var errServerBusy = errors.New("rpc: server busy")
 
 // retryPause is the synchronous-call retry backoff: exponential from
 // retryPauseBase with ±50% jitter, capped well below the redial backoff so a
-// retrying call probes a recovering pool promptly.
+// retrying call probes a recovering connection promptly.
 func retryPause(attempt int) time.Duration {
 	if attempt > 5 {
 		attempt = 5

@@ -1,10 +1,13 @@
 package rpc
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/agent"
@@ -111,6 +114,41 @@ func TestFrameRejectsOversize(t *testing.T) {
 	_, _, _, _, err := readFrame(cli, nil)
 	if !errors.Is(err, ErrProtocol) {
 		t.Fatalf("oversize frame: err = %v, want ErrProtocol", err)
+	}
+}
+
+// A frame header claiming MaxFrameBytes must cost the server what actually
+// arrives, not what the header claims: the payload buffer grows with the
+// bytes received, so one hostile 13-byte header cannot allocate 256 MB.
+func TestServerFrameHeaderDoesNotPreallocate(t *testing.T) {
+	s := NewServer(backend.NewSharded(0, 1))
+	cli, srv := net.Pipe()
+	defer cli.Close()
+	hdr := []byte{reqQuery, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0}
+	binary.BigEndian.PutUint32(hdr[9:], MaxFrameBytes)
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	done := make(chan struct{})
+	go func() {
+		s.ServeConn(srv)
+		close(done)
+	}()
+	if _, err := cli.Write(handshakeBytes()); err != nil {
+		t.Fatalf("write handshake: %v", err)
+	}
+	if _, err := io.ReadFull(cli, make([]byte, len(Magic)+1)); err != nil {
+		t.Fatalf("read the server's preamble: %v", err)
+	}
+	if _, err := cli.Write(hdr); err != nil {
+		t.Fatalf("write header: %v", err)
+	}
+	cli.Close()
+	<-done
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 8<<20 {
+		t.Fatalf("a %d-byte frame header that never delivered its payload cost %d bytes of allocation",
+			frameHeaderBytes, grew)
 	}
 }
 

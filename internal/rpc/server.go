@@ -80,7 +80,7 @@ type ingestSession struct {
 var testHookQueryDispatch func(typ byte)
 
 // Server serves the backend protocol on accepted connections: ingest
-// (batches and coalesced envelopes of pattern/Bloom/params reports,
+// (sequenced envelopes of coalesced pattern/Bloom/params reports and
 // sampling marks), the query surface, stats and durable flush.
 //
 // Each connection runs a reader goroutine that demultiplexes by request
@@ -159,10 +159,6 @@ func opName(typ byte) string {
 	switch typ {
 	case reqPing:
 		return "ping"
-	case reqBatch:
-		return "batch"
-	case reqMark:
-		return "mark"
 	case reqEnvelope:
 		return "envelope"
 	case reqQuery:
@@ -224,7 +220,7 @@ func NewServer(b *backend.Backend) *Server {
 	}
 	const opHelp = "RPC per-op service time (handler execution, excluding queue wait)."
 	for _, typ := range []byte{
-		reqPing, reqBatch, reqMark, reqEnvelope, reqQuery, reqQueryMany,
+		reqPing, reqEnvelope, reqQuery, reqQueryMany,
 		reqBatchAnalyze, reqFindTraces, reqFindCandidates, reqFindAnalyze,
 		reqStats, reqFlush,
 	} {
@@ -542,28 +538,21 @@ func (s *Server) ServeConn(conn net.Conn) {
 	for {
 		// Block without a deadline for the next frame header (idle clients
 		// are fine), then require the rest of the frame promptly.
-		var hdr [frameHeaderBytes]byte
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			return
-		}
-		id := binary.BigEndian.Uint64(hdr[1:9])
-		n := binary.BigEndian.Uint32(hdr[9:13])
-		if n > MaxFrameBytes {
-			// Framing violation: say why (best-effort), then drop the
-			// connection — the stream position can no longer be trusted.
-			sc.respond(errFrame(nil, id, fmt.Sprintf("frame of %d bytes exceeds limit", n)))
+		typ, id, n, err := readFrameHeader(br)
+		if err != nil {
+			if errors.Is(err, ErrProtocol) {
+				// Framing violation: say why (best-effort), then drop the
+				// connection — the stream position can no longer be trusted.
+				sc.respond(errFrame(nil, id, err.Error()))
+			}
 			return
 		}
 		_ = conn.SetReadDeadline(time.Now().Add(frameBodyTimeout))
-		if uint32(cap(rbuf)) < n {
-			rbuf = make([]byte, n)
-		}
-		payload := rbuf[:n]
-		if _, err := io.ReadFull(br, payload); err != nil {
+		var payload []byte
+		if payload, rbuf, err = readFramePayload(br, n, rbuf); err != nil {
 			return
 		}
 		_ = conn.SetReadDeadline(time.Time{})
-		typ := hdr[0]
 		s.requests.Add(1)
 		s.bytesIn.Add(int64(n) + frameHeaderBytes)
 
@@ -574,10 +563,10 @@ func (s *Server) ServeConn(conn net.Conn) {
 			// into a liveness false-negative exactly when the server is
 			// busiest. Histogram only — no queue, no observer span.
 			start := time.Now()
-			resp = frame(resp[:0], respOK, id, nil)
+			resp = appendFrame(resp[:0], respOK, id, nil)
 			s.opHist(reqPing).Observe(time.Since(start))
 			sc.respond(resp)
-		case reqBatch, reqMark, reqEnvelope:
+		case reqEnvelope:
 			// Ingest lane: copy onto the bounded per-connection queue; one
 			// worker applies in arrival order and answers after the apply,
 			// which is what makes the client's write barrier mean "the
@@ -680,19 +669,14 @@ func (sc *serverConn) respond(resp []byte) {
 	_ = sc.nc.SetWriteDeadline(time.Time{})
 }
 
-// frame appends one response frame to dst with the body encoded in place.
-func frame(dst []byte, typ byte, id uint64, body func([]byte) []byte) []byte {
-	return appendFrame(dst, typ, id, body)
-}
-
 // errFrame appends an error response for request id.
 func errFrame(dst []byte, id uint64, msg string) []byte {
-	return frame(dst, respErr, id, func(b []byte) []byte { return wire.AppendString(b, msg) })
+	return appendFrame(dst, respErr, id, func(b []byte) []byte { return wire.AppendString(b, msg) })
 }
 
 // busyFrame appends a busy response for request id with a retry-after hint.
 func busyFrame(dst []byte, id uint64, retryAfter time.Duration) []byte {
-	return frame(dst, respBusy, id, func(b []byte) []byte {
+	return appendFrame(dst, respBusy, id, func(b []byte) []byte {
 		return binary.AppendUvarint(b, uint64(retryAfter/time.Millisecond))
 	})
 }
@@ -734,7 +718,7 @@ func (s *Server) applyEnvelope(dst []byte, id uint64, payload []byte) []byte {
 	switch {
 	case seq <= se.last:
 		s.dedupHits.Add(1)
-		return frame(dst, respOK, id, nil)
+		return appendFrame(dst, respOK, id, nil)
 	case se.last != 0 && seq > se.last+1:
 		return busyFrame(dst, id, gapRetryAfter)
 	}
@@ -748,7 +732,7 @@ func (s *Server) applyEnvelope(dst []byte, id uint64, payload []byte) []byte {
 	if err != nil {
 		return errFrame(dst, id, err.Error())
 	}
-	return frame(dst, respOK, id, nil)
+	return appendFrame(dst, respOK, id, nil)
 }
 
 // handle dispatches one request frame and appends the response frame to
@@ -756,33 +740,7 @@ func (s *Server) applyEnvelope(dst []byte, id uint64, payload []byte) []byte {
 func (s *Server) handle(dst []byte, typ byte, id uint64, payload []byte) []byte {
 	switch typ {
 	case reqPing:
-		return frame(dst, respOK, id, nil)
-
-	case reqBatch:
-		b, err := wire.UnmarshalBatch(payload)
-		if err != nil {
-			return errFrame(dst, id, err.Error())
-		}
-		for _, msg := range b.Reports {
-			switch m := msg.(type) {
-			case *wire.PatternReport:
-				s.backend.AcceptPatterns(m)
-			case *wire.BloomReport:
-				s.backend.AcceptBloom(m, m.Full)
-			case *wire.ParamsReport:
-				s.backend.AcceptParams(m)
-			}
-		}
-		return frame(dst, respOK, id, nil)
-
-	case reqMark:
-		d := wire.NewDecoder(payload)
-		traceID, reason := d.Str(), d.Str()
-		if err := d.Done(); err != nil {
-			return errFrame(dst, id, err.Error())
-		}
-		s.backend.MarkSampled(traceID, reason)
-		return frame(dst, respOK, id, nil)
+		return appendFrame(dst, respOK, id, nil)
 
 	case reqEnvelope:
 		return s.applyEnvelope(dst, id, payload)
@@ -793,7 +751,7 @@ func (s *Server) handle(dst []byte, typ byte, id uint64, payload []byte) []byte 
 		if err := d.Done(); err != nil {
 			return errFrame(dst, id, err.Error())
 		}
-		return frame(dst, respQueryResult, id, func(b []byte) []byte {
+		return appendFrame(dst, respQueryResult, id, func(b []byte) []byte {
 			return appendQueryResult(b, s.backend.Query(traceID))
 		})
 
@@ -804,7 +762,7 @@ func (s *Server) handle(dst []byte, typ byte, id uint64, payload []byte) []byte 
 			return errFrame(dst, id, err.Error())
 		}
 		results := s.backend.QueryMany(ids)
-		return frame(dst, respQueryMany, id, func(b []byte) []byte {
+		return appendFrame(dst, respQueryMany, id, func(b []byte) []byte {
 			b = binary.AppendUvarint(b, uint64(len(results)))
 			for _, r := range results {
 				b = appendQueryResult(b, r)
@@ -819,7 +777,7 @@ func (s *Server) handle(dst []byte, typ byte, id uint64, payload []byte) []byte 
 			return errFrame(dst, id, err.Error())
 		}
 		stats, miss := s.backend.BatchQuery(ids)
-		return frame(dst, respBatchStats, id, func(b []byte) []byte {
+		return appendFrame(dst, respBatchStats, id, func(b []byte) []byte {
 			b = appendBatchStats(b, stats)
 			return binary.AppendUvarint(b, uint64(miss))
 		})
@@ -830,7 +788,7 @@ func (s *Server) handle(dst []byte, typ byte, id uint64, payload []byte) []byte 
 		if err := d.Done(); err != nil {
 			return errFrame(dst, id, err.Error())
 		}
-		return frame(dst, respFound, id, func(b []byte) []byte {
+		return appendFrame(dst, respFound, id, func(b []byte) []byte {
 			return appendFoundTraces(b, s.backend.FindTraces(f))
 		})
 
@@ -840,7 +798,7 @@ func (s *Server) handle(dst []byte, typ byte, id uint64, payload []byte) []byte 
 		if err := d.Done(); err != nil {
 			return errFrame(dst, id, err.Error())
 		}
-		return frame(dst, respFound, id, func(b []byte) []byte {
+		return appendFrame(dst, respFound, id, func(b []byte) []byte {
 			return appendFoundTraces(b, s.backend.FindCandidates(f))
 		})
 
@@ -851,29 +809,19 @@ func (s *Server) handle(dst []byte, typ byte, id uint64, payload []byte) []byte 
 			return errFrame(dst, id, err.Error())
 		}
 		stats, found := s.backend.FindAnalyze(f)
-		return frame(dst, respFindAnalyze, id, func(b []byte) []byte {
+		return appendFrame(dst, respFindAnalyze, id, func(b []byte) []byte {
 			b = appendBatchStats(b, stats)
 			return appendFoundTraces(b, found)
 		})
 
 	case reqStats:
-		total, patterns, blooms, params := s.backend.StorageBytes()
-		st := Stats{
-			StorageBytes:  total,
-			PatternBytes:  patterns,
-			BloomBytes:    blooms,
-			ParamBytes:    params,
-			SpanPatterns:  s.backend.SpanPatternCount(),
-			TopoPatterns:  s.backend.TopoPatternCount(),
-			BackendShards: s.backend.ShardCount(),
-		}
-		return frame(dst, respStats, id, func(b []byte) []byte { return appendStats(b, st) })
+		return appendFrame(dst, respStats, id, func(b []byte) []byte { return appendStats(b, BackendStats(s.backend)) })
 
 	case reqFlush:
 		if err := s.backend.FlushPersistence(); err != nil {
 			return errFrame(dst, id, err.Error())
 		}
-		return frame(dst, respOK, id, nil)
+		return appendFrame(dst, respOK, id, nil)
 
 	default:
 		return errFrame(dst, id, fmt.Sprintf("unknown request type 0x%02x", typ))

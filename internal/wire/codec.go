@@ -317,6 +317,49 @@ func UnmarshalTopoPattern(payload []byte) (*topo.Pattern, error) {
 	return p, nil
 }
 
+// AppendPatternReport appends one pattern report's encoding to dst.
+func AppendPatternReport(dst []byte, r *PatternReport) []byte {
+	dst = AppendString(dst, r.Node)
+	dst = binary.AppendUvarint(dst, uint64(len(r.SpanPatterns)))
+	for _, p := range r.SpanPatterns {
+		dst = AppendSpanPattern(dst, p)
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(r.TopoPatterns)))
+	for _, p := range r.TopoPatterns {
+		dst = AppendTopoPattern(dst, p)
+	}
+	return dst
+}
+
+// MarshalPatternReport encodes one pattern report.
+func MarshalPatternReport(r *PatternReport) []byte {
+	return AppendPatternReport(nil, r)
+}
+
+// decodePatternReport reads one pattern report body from d.
+func decodePatternReport(d *Decoder) *PatternReport {
+	r := &PatternReport{Node: d.Str()}
+	nSpan := d.Count()
+	for i := 0; i < nSpan && d.Err() == nil; i++ {
+		r.SpanPatterns = append(r.SpanPatterns, decodeSpanPatternBody(d))
+	}
+	nTopo := d.Count()
+	for i := 0; i < nTopo && d.Err() == nil; i++ {
+		r.TopoPatterns = append(r.TopoPatterns, decodeTopoPatternBody(d))
+	}
+	return r
+}
+
+// UnmarshalPatternReport decodes a payload written by MarshalPatternReport.
+func UnmarshalPatternReport(payload []byte) (*PatternReport, error) {
+	d := NewDecoder(payload)
+	r := decodePatternReport(d)
+	if err := d.Done(); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
 // AppendBloomReport appends a Bloom filter report's encoding to dst,
 // including its Full flag (which rides in the framing on the simulated
 // network and so is not part of Size(), but must survive a round-trip

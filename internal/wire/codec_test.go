@@ -65,6 +65,34 @@ func TestTopoPatternCodecRoundTrip(t *testing.T) {
 	}
 }
 
+func TestPatternReportCodecRoundTrip(t *testing.T) {
+	sp := &parser.SpanPattern{
+		Service:   "cart",
+		Operation: "HTTP GET /cart",
+		Kind:      trace.KindServer,
+		Attrs: []parser.AttrPattern{
+			{Key: "user.id", Pattern: "<*>"},
+			{Key: "~duration", IsNum: true, Pattern: "(4, 9]", NumIndex: 2},
+		},
+	}
+	sp.SetID("span-pat-1")
+	tp := &topo.Pattern{
+		Node:  "node-1",
+		Entry: "span-pat-1",
+		Edges: []topo.Edge{{Parent: "span-pat-1", Children: []string{"span-pat-2"}}},
+		Exits: []string{"span-pat-2"},
+	}
+	tp.SetID("topo-pat-1")
+	in := &PatternReport{Node: "node-1", SpanPatterns: []*parser.SpanPattern{sp}, TopoPatterns: []*topo.Pattern{tp}}
+	got, err := UnmarshalPatternReport(MarshalPatternReport(in))
+	if err != nil {
+		t.Fatalf("unmarshal: %v", err)
+	}
+	if !reflect.DeepEqual(in, got) {
+		t.Fatalf("round trip mismatch:\n in  %+v\n out %+v", in, got)
+	}
+}
+
 func TestBloomReportCodecRoundTrip(t *testing.T) {
 	f := bloom.New(256, 0.01)
 	f.Add("trace-1")

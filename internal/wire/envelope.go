@@ -1,20 +1,22 @@
 package wire
 
-// The coalesced ingest envelope: the RPC transport's fire-and-forget write
-// lane accumulates heterogeneous ingest operations (pattern reports, Bloom
-// reports, params reports, sampling marks) into one buffer and ships them as
-// a single frame. Unlike a Batch — which is count-prefixed and built in one
-// call — an envelope is grown incrementally by whichever operation arrives
-// next, so it encodes as tagged entries until the payload is exhausted.
-// Pattern/Bloom/params entries reuse the Batch report tags and body
-// encodings; the mark entry is new here. Tags are part of the wire format
-// and must not be renumbered.
+// The coalesced ingest envelope: the RPC transport's fire-and-forget writes
+// accumulate heterogeneous ingest operations (pattern reports, Bloom
+// reports, params reports, sampling marks) into one buffer and ship them as
+// a single frame. An envelope is grown incrementally by whichever operation
+// arrives next, so it encodes as tagged entries until the payload is
+// exhausted; report entries carry the report codecs' body encodings. Tags
+// are part of the wire format and must not be renumbered.
 
 import "fmt"
 
-// tagMarkOp is the envelope entry tag for a sampling mark. It extends the
-// Batch report tag space (1–3), which envelopes reuse for report entries.
-const tagMarkOp = 4
+// Envelope entry tags.
+const (
+	tagPatternReport = 1
+	tagBloomReport   = 2
+	tagParamsReport  = 3
+	tagMarkOp        = 4
+)
 
 // OpSink consumes decoded envelope operations in arrival order. It is the
 // ingest subset of the backend's surface (collector.Sink plus sampling

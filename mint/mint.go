@@ -110,17 +110,18 @@
 //	res := cluster.Query(traces[0].TraceID)
 //	err = cluster.Close()          // flush durable, then disconnect
 //
-// The transport multiplexes pipelined requests over a small connection
-// pool (Config.RemoteConns) and coalesces fire-and-forget report writes
-// into batched frames; every synchronous call flushes and awaits those
-// writes first, so remote answers stay byte-identical to in-process ones.
+// The transport pipelines many requests over one multiplexed connection and
+// coalesces fire-and-forget report writes into sequenced, journaled
+// envelope frames; every synchronous call flushes and awaits those writes
+// first, so remote answers stay byte-identical to in-process ones.
 //
 // Backend-side knobs (Shards, DataDir, retention, query cache/workers)
-// are configured on mintd and rejected by Dial. Transport failures are
-// sticky per connection: healthy pooled siblings keep serving, captures
-// become no-ops once the pool is exhausted, queries answer zero values,
-// and Err reports the first error. After Close — local or remote — every
-// operation fails with ErrClosed.
+// are configured on mintd and rejected by Dial. A connection that dies is
+// redialed in the background and journaled reports replay exactly once;
+// while it is down, queries wait for it up to a deadline, or fail at once
+// when the server refuses the redial. A query that fails answers zero
+// values, and Err reports the failure. After Close — local or remote —
+// every operation fails with ErrClosed.
 package mint
 
 import (
@@ -250,12 +251,6 @@ type Config struct {
 	// once the WAL exceeds this size. 0 takes
 	// backend.DefaultSnapshotEveryBytes. Requires DataDir.
 	SnapshotEveryBytes int64
-	// RemoteConns sizes the connection pool Dial opens to the backend
-	// server. Queries round-robin (and large batches fan out) across the
-	// pool while coalesced ingest writes ride one designated connection to
-	// preserve order. 0 takes DefaultRemoteConns; negative values are
-	// rejected. A client-transport knob: Open and NewCluster ignore it.
-	RemoteConns int
 	// SlowOpThreshold is the latency above which an operation (capture,
 	// shard apply, WAL flush, query, RPC call) is recorded in the slow-op
 	// ledger (SlowOps, GET /debug/slowz). 0 takes the default
@@ -274,10 +269,6 @@ type Config struct {
 	// rejects it (the server owns its own self-tracing).
 	SelfTrace bool
 }
-
-// DefaultRemoteConns is the connection pool size Dial uses when
-// Config.RemoteConns is zero.
-const DefaultRemoteConns = 2
 
 // Defaults returns the paper's default configuration.
 func Defaults() Config { return Config{} }
@@ -412,9 +403,11 @@ func Open(nodes []string, cfg Config) (*Cluster, error) {
 // DataDir, RetentionTTL, SnapshotEveryBytes) configure the server's
 // deployment, not the client's, and must be zero here; agent-side fields
 // (parser thresholds, samplers, buffers, IngestWorkers) apply normally.
-// Close flushes the server's durable store and closes the connection; the
-// server keeps running. Transport failures are sticky: captures become
-// no-ops, queries answer zero values, and Err reports the first error.
+// The cluster talks to the server over one multiplexed connection, which
+// is redialed in the background if it dies. Close flushes the server's
+// durable store and closes the connection; the server keeps running. A
+// query the transport cannot complete answers zero values, and Err reports
+// the failure.
 func Dial(addr string, nodes []string, cfg Config) (*Cluster, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -424,11 +417,7 @@ func Dial(addr string, nodes []string, cfg Config) (*Cluster, error) {
 		cfg.SelfTrace {
 		return nil, fmt.Errorf("mint: invalid config: backend-side fields (Shards, QueryWorkers, QueryCacheSize, DataDir, RetentionTTL, SnapshotEveryBytes, SelfTrace) are owned by the server; configure them on mintd")
 	}
-	conns := cfg.RemoteConns
-	if conns == 0 {
-		conns = DefaultRemoteConns
-	}
-	cli, err := rpc.DialPool(addr, conns)
+	cli, err := rpc.Dial(addr)
 	if err != nil {
 		return nil, err
 	}
@@ -610,7 +599,7 @@ func (c *Cluster) captureOne(t *Trace) {
 	c.capScratch.Put(s)
 	if sampledReason != "" {
 		// The sampling collector already delivered the mark to the store
-		// (collector.Ingest marks through its sink — one round-trip on a
+		// (collector.Ingest marks through its sink — a coalesced write on a
 		// remote deployment); what remains is the cluster-wide coherence
 		// fan-out.
 		c.notifySampled(t.TraceID, sampledReason)
@@ -807,7 +796,7 @@ func (c *Cluster) Query(traceID string) QueryResult {
 
 // QueryMany answers one query per trace ID, fanning the lookups out over
 // the bounded query worker pool (Config.QueryWorkers) — or, on a remote
-// cluster, batching them into one round-trip. Results are positional:
+// cluster, into at most four pipelined requests. Results are positional:
 // out[i] answers traceIDs[i], identical to serial Query calls. On a closed
 // cluster every result is a Miss and ErrClosed is recorded (see Err).
 func (c *Cluster) QueryMany(traceIDs []string) []QueryResult {
@@ -827,23 +816,14 @@ func (c *Cluster) NetworkBytesByKind(kind string) int64 { return c.meter.ByKind(
 // StorageBytes returns the backend's persisted bytes (one stats round-trip
 // on a remote cluster). On a closed cluster it answers 0 and records
 // ErrClosed (see Err).
-func (c *Cluster) StorageBytes() int64 {
-	if err := c.checkOpen(); err != nil {
-		return 0
-	}
-	total, _, _, _ := c.store.StorageBytes()
-	return total
-}
+func (c *Cluster) StorageBytes() int64 { return c.backendStats().StorageBytes }
 
 // StorageBreakdown returns the backend's storage split into pattern, Bloom
 // and parameter bytes. On a closed cluster it answers zeros and records
 // ErrClosed (see Err).
 func (c *Cluster) StorageBreakdown() (patterns, blooms, params int64) {
-	if err := c.checkOpen(); err != nil {
-		return 0, 0, 0
-	}
-	_, p, bl, pa := c.store.StorageBytes()
-	return p, bl, pa
+	st := c.backendStats()
+	return st.PatternBytes, st.BloomBytes, st.ParamBytes
 }
 
 // Backend exposes the in-process backend for advanced queries. A remote
@@ -856,29 +836,29 @@ func (c *Cluster) Nodes() []string { return append([]string(nil), c.nodes...) }
 
 // Shards returns the backend shard count, 0 (recording ErrClosed) on a
 // closed cluster.
-func (c *Cluster) Shards() int {
-	if err := c.checkOpen(); err != nil {
-		return 0
-	}
-	return c.store.ShardCount()
-}
+func (c *Cluster) Shards() int { return c.backendStats().BackendShards }
 
 // SpanPatternCount returns the distinct span patterns across the backend,
 // 0 (recording ErrClosed) on a closed cluster.
-func (c *Cluster) SpanPatternCount() int {
-	if err := c.checkOpen(); err != nil {
-		return 0
-	}
-	return c.store.SpanPatternCount()
-}
+func (c *Cluster) SpanPatternCount() int { return c.backendStats().SpanPatterns }
 
 // TopoPatternCount returns the distinct topo patterns across the backend,
 // 0 (recording ErrClosed) on a closed cluster.
-func (c *Cluster) TopoPatternCount() int {
+func (c *Cluster) TopoPatternCount() int { return c.backendStats().TopoPatterns }
+
+// backendStats reads the backend's storage accounting and pattern and shard
+// counts in one pass — one stats round trip on a remote cluster, whose
+// failure Err reports. On a closed cluster it answers zeros and records
+// ErrClosed.
+func (c *Cluster) backendStats() rpc.Stats {
 	if err := c.checkOpen(); err != nil {
-		return 0
+		return rpc.Stats{}
 	}
-	return c.store.TopoPatternCount()
+	if c.remote != nil {
+		st, _ := c.remote.Stats()
+		return st
+	}
+	return rpc.BackendStats(c.local)
 }
 
 // ResetMeter zeroes the network meter (between experiment phases).
@@ -897,7 +877,7 @@ func (c *Cluster) AgentEvictions(node string) uint64 {
 // Stats is a point-in-time snapshot of a cluster's byte accounting and
 // pattern state, taken in one pass so harnesses (cmd/mintexp, benchmarks)
 // report a consistent view instead of stitching racy single-field reads.
-// On a remote cluster the backend fields cost one stats round-trip.
+// On a remote cluster the backend fields cost one stats round trip.
 type Stats struct {
 	NetworkBytes int64 // agent↔backend bytes metered client-side
 	StorageBytes int64 // backend's persisted bytes (patterns+blooms+params)
@@ -922,17 +902,10 @@ func (c *Cluster) Stats() Stats {
 	for _, col := range c.collectors {
 		s.Evictions += col.Agent().Buffer().Evicted()
 	}
-	if err := c.checkOpen(); err != nil {
-		return s
-	}
-	total, patterns, blooms, params := c.store.StorageBytes()
-	s.StorageBytes = total
-	s.PatternBytes = patterns
-	s.BloomBytes = blooms
-	s.ParamBytes = params
-	s.SpanPatterns = c.store.SpanPatternCount()
-	s.TopoPatterns = c.store.TopoPatternCount()
-	s.Shards = c.store.ShardCount()
+	b := c.backendStats()
+	s.StorageBytes, s.PatternBytes = b.StorageBytes, b.PatternBytes
+	s.BloomBytes, s.ParamBytes = b.BloomBytes, b.ParamBytes
+	s.SpanPatterns, s.TopoPatterns, s.Shards = b.SpanPatterns, b.TopoPatterns, b.BackendShards
 	return s
 }
 

@@ -9,11 +9,11 @@ import (
 )
 
 // store is the backend surface a Cluster works against: the report sink the
-// collectors deliver into plus the query, stats and persistence surface the
-// read path uses. Two implementations exist — the in-process
-// *backend.Backend (Open/NewCluster) and the *rpc.Client network transport
-// (Dial) — and the Cluster code is identical over both, which is what the
-// loopback parity tests pin down.
+// collectors deliver into plus the query and persistence surface the read
+// path uses (stats are read through Cluster.backendStats). Two
+// implementations exist — the in-process *backend.Backend (Open/NewCluster)
+// and the *rpc.Client network transport (Dial) — and the Cluster code is
+// identical over both, which is what the loopback parity tests pin down.
 type store interface {
 	collector.Sink
 
@@ -27,15 +27,6 @@ type store interface {
 	FindTraces(f backend.Filter) []backend.FoundTrace
 	// FindAnalyze runs a predicate search plus aggregation in one pass.
 	FindAnalyze(f backend.Filter) (*backend.BatchStats, []backend.FoundTrace)
-
-	// StorageBytes returns total storage and its pattern/Bloom/params split.
-	StorageBytes() (total, patterns, blooms, params int64)
-	// SpanPatternCount returns the distinct span pattern count.
-	SpanPatternCount() int
-	// TopoPatternCount returns the distinct topo pattern count.
-	TopoPatternCount() int
-	// ShardCount returns the backend's shard count.
-	ShardCount() int
 
 	// FlushPersistence forces captured state durable (a no-op for a
 	// memory-only local backend).
@@ -72,9 +63,6 @@ func (c Config) validate() error {
 	}
 	if c.RetentionTTL < 0 {
 		return bad("RetentionTTL", fmt.Sprintf("= %v; want >= 0 (0 keeps everything forever)", c.RetentionTTL))
-	}
-	if c.RemoteConns < 0 {
-		return bad("RemoteConns", fmt.Sprintf("= %d; want >= 0 (0 takes DefaultRemoteConns)", c.RemoteConns))
 	}
 	if c.DataDir == "" {
 		if c.RetentionTTL != 0 {

@@ -234,7 +234,7 @@ func TestLoopbackParityConcurrentIngest(t *testing.T) {
 // TestSharedRemoteClusterConcurrentMixed shares one dialed Cluster between
 // many goroutines that interleave captures, sampling marks and every kind
 // of query — the workload shape the multiplexed transport exists for: all
-// of it pipelines over a small connection pool concurrently. Run with
+// of it pipelines over the one connection concurrently. Run with
 // -race. Sampling is hash-based head sampling plus explicit marks so
 // decisions are interleaving-independent, and the final state must be
 // byte-identical to a serial in-process run of the same workload.
@@ -269,9 +269,7 @@ func TestSharedRemoteClusterConcurrentMixed(t *testing.T) {
 
 	server := startMintd(t, t.TempDir(), 4)
 	defer server.stop(t)
-	remoteCfg := cfg
-	remoteCfg.RemoteConns = 3
-	remote, err := mint.Dial(server.addr, sys.Nodes, remoteCfg)
+	remote, err := mint.Dial(server.addr, sys.Nodes, cfg)
 	if err != nil {
 		t.Fatalf("Dial: %v", err)
 	}
@@ -293,7 +291,7 @@ func TestSharedRemoteClusterConcurrentMixed(t *testing.T) {
 					remote.MarkSampled(traces[i].TraceID, "parity-test")
 				}
 				// Interleave reads with the writes: queries pipeline on the
-				// same pooled connections the marks and reports ride.
+				// same connection the marks and reports ride.
 				switch {
 				case i%31 == 0:
 					remote.QueryMany(ids[:20])

@@ -89,6 +89,29 @@ func TestStatsRemoteParity(t *testing.T) {
 	}
 }
 
+// A remote Stats is one stats round trip, so every backend field comes from
+// one server-side read that no concurrent write can split.
+func TestStatsRemoteIsOneRoundTrip(t *testing.T) {
+	sys := sim.OnlineBoutique(75)
+	md := startMintd(t, t.TempDir(), 2)
+	defer md.stop(t)
+	remote, err := mint.Dial(md.addr, sys.Nodes, mint.Config{BloomBufferBytes: 512})
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer remote.Close()
+	captureInto(t, remote, sys, 50)
+
+	before := md.srv.Requests()
+	s := remote.Stats()
+	if got := md.srv.Requests() - before; got != 1 {
+		t.Fatalf("Stats took %d requests, want 1", got)
+	}
+	if s.StorageBytes == 0 || s.SpanPatterns == 0 || s.Shards != 2 {
+		t.Fatalf("remote stats: %+v", s)
+	}
+}
+
 func TestStatsSurviveReopen(t *testing.T) {
 	sys := sim.OnlineBoutique(73)
 	dir := t.TempDir()
