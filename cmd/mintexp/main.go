@@ -1,16 +1,12 @@
-// Command mintexp is the perf-trajectory harness: it regenerates the paper's
-// evaluation against every deployment topology and emits the machine-readable
-// BENCH_experiments.json artifact CI archives run over run.
+// Command mintexp regenerates the paper's evaluation figures and tables
+// against every deployment topology and checks that the topologies agree.
 //
 // Each cluster-backed experiment runs on the topologies selected with -topos
 // — the in-process sharded engine ("inproc"), the durable engine reopened
 // from its DataDir under a different shard count ("reopen"), and a cluster
-// dialed into a loopback mintd ("remote") — and each run is recorded with
-// the SHA-256 of its volatile-masked render, so topology divergence is a
-// one-line diff. Experiments that never touch a cluster run once under the
-// pseudo-topology "any". A per-topology probe measures capture throughput,
-// allocs/op, compression ratio and cold/warm query latency over a fixed
-// workload; its numbers are stamped into every record of that topology.
+// dialed into a loopback mintd ("remote"). Experiments that never touch a
+// cluster run once under the pseudo-topology "any". Performance is measured
+// by the repository benchmark (bench/), not here.
 //
 // Usage:
 //
@@ -19,27 +15,18 @@
 //	mintexp -run fig11,fig15         # subset by ID
 //	mintexp -topos inproc,remote     # subset by topology
 //	mintexp -light                   # skip heavy experiments
-//	mintexp -json BENCH_experiments.json
-//	mintexp -parity                  # exit 1 unless figure outputs are
+//	mintexp -parity                  # exit 1 unless stable renders are
 //	                                 # byte-identical across the topologies run
-//	mintexp -render-dir out/         # write <id>.<topo>.txt stable renders for diffing
-//	mintexp -budget-json b.json -remote-json BENCH_remote.json
-//	                                 # fold sibling artifacts into the output
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
-	"testing"
 	"time"
 
-	"repro/internal/benchfmt"
 	"repro/internal/experiments"
-	"repro/internal/sim"
-	"repro/mint"
 )
 
 func main() {
@@ -47,13 +34,7 @@ func main() {
 	topos := flag.String("topos", "inproc,reopen,remote", "comma-separated topologies to run cluster experiments on")
 	list := flag.Bool("list", false, "list experiment IDs and exit")
 	light := flag.Bool("light", false, "skip heavy experiments")
-	jsonOut := flag.String("json", "", "write the mint-bench-exp/v1 artifact to this file")
 	parity := flag.Bool("parity", false, "fail unless stable renders are byte-identical across topologies")
-	renderDir := flag.String("render-dir", "", "write per-(experiment,topology) stable renders into this directory")
-	captraces := flag.Int("captraces", 2000, "traces per topology probe")
-	budgetJSON := flag.String("budget-json", "", "fold this mint-bench-budget/v1 artifact into the output")
-	remoteJSON := flag.String("remote-json", "", "fold this mint-bench-remote/v1 artifact into the output")
-	quiet := flag.Bool("q", false, "suppress figure renders on stdout")
 	flag.Parse()
 
 	if *list {
@@ -82,82 +63,27 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *renderDir != "" {
-		if err := os.MkdirAll(*renderDir, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, "mintexp:", err)
-			os.Exit(2)
-		}
-	}
-
-	probes := map[string]probeStats{}
-	for _, kind := range kinds {
-		probes[kind.String()] = runProbe(kind, *captraces)
-		fmt.Fprintf(os.Stderr, "mintexp: probe %-7s %8.0f traces/sec, %5.1f allocs/op, %5.2fx compression, query %6.1fus cold / %6.1fus warm\n",
-			kind.String(), probes[kind.String()].capture.TracesPerSec, probes[kind.String()].capture.AllocsPerOp,
-			probes[kind.String()].compression, probes[kind.String()].coldUS, probes[kind.String()].warmUS)
-	}
-
-	artifact := benchfmt.ExpArtifact{
-		Schema:        benchfmt.ExpSchema,
-		GeneratedUnix: time.Now().Unix(),
-	}
-	// hashes[id][topo] drives the parity check and the render diff.
-	hashes := map[string]map[string]string{}
-
+	failed := false
 	for _, e := range entries {
-		runKinds := kinds
 		if !e.Cluster {
-			runKinds = nil // one "any" run below
+			runOne(e, "any", func() *experiments.Result { return e.Run(nil) })
+			continue
 		}
-		for _, kind := range runKinds {
-			rec := runRecord(e, kind.String(), func() *experiments.Result {
-				return experiments.RunOn(e, kind)
-			}, probes[kind.String()], *quiet, *renderDir)
-			artifact.Experiments = append(artifact.Experiments, rec)
-			if hashes[e.ID] == nil {
-				hashes[e.ID] = map[string]string{}
-			}
-			hashes[e.ID][rec.Topology] = rec.StableHash
+		var names, renders []string
+		for _, kind := range kinds {
+			res := runOne(e, kind.String(), func() *experiments.Result { return experiments.RunOn(e, kind) })
+			names = append(names, kind.String())
+			renders = append(renders, res.RenderStable())
 		}
-		if !e.Cluster {
-			rec := runRecord(e, "any", func() *experiments.Result {
-				return e.Run(nil)
-			}, probeStats{}, *quiet, *renderDir)
-			artifact.Experiments = append(artifact.Experiments, rec)
-		}
-	}
-
-	if *budgetJSON != "" {
-		b, err := benchfmt.ReadBudget(*budgetJSON)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "mintexp:", err)
-			os.Exit(2)
-		}
-		artifact.Budget = b
-	}
-	if *remoteJSON != "" {
-		r, err := benchfmt.ReadRemote(*remoteJSON)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "mintexp:", err)
-			os.Exit(2)
-		}
-		artifact.Remote = r
-	}
-
-	artifact.Sort()
-	if *jsonOut != "" {
-		if err := benchfmt.WriteFile(*jsonOut, &artifact); err != nil {
-			fmt.Fprintln(os.Stderr, "mintexp:", err)
-			os.Exit(2)
-		}
-		fmt.Fprintf(os.Stderr, "mintexp: wrote %d records to %s\n", len(artifact.Experiments), *jsonOut)
-	}
-
-	if *parity {
-		if bad := checkParity(hashes); len(bad) > 0 {
-			for _, line := range bad {
+		if *parity {
+			for _, line := range checkParity(e.ID, names, renders) {
 				fmt.Fprintln(os.Stderr, "mintexp: PARITY FAIL:", line)
+				failed = true
 			}
+		}
+	}
+	if *parity {
+		if failed {
 			os.Exit(1)
 		}
 		fmt.Fprintf(os.Stderr, "mintexp: parity OK — stable renders byte-identical across %s\n", *topos)
@@ -202,129 +128,37 @@ func selectTopos(s string) ([]experiments.TopoKind, error) {
 	return out, nil
 }
 
-// runRecord runs one (experiment, topology) pair and builds its artifact
-// record, optionally printing the render and writing the stable render to
-// renderDir as <id>.<topo>.txt.
-func runRecord(e experiments.Entry, topo string, run func() *experiments.Result, p probeStats, quiet bool, renderDir string) benchfmt.ExpRecord {
+// runOne runs one (experiment, topology) pair and prints its render.
+func runOne(e experiments.Entry, topo string, run func() *experiments.Result) *experiments.Result {
 	start := time.Now()
 	res := run()
-	wall := time.Since(start).Seconds()
-	if !quiet {
-		fmt.Printf("-- %s @ %s (%.1fs)\n%s\n", e.ID, topo, wall, res.Render())
-	}
-	if renderDir != "" {
-		path := filepath.Join(renderDir, fmt.Sprintf("%s.%s.txt", e.ID, topo))
-		if err := os.WriteFile(path, []byte(res.RenderStable()), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "mintexp:", err)
-			os.Exit(2)
-		}
-	}
-	return benchfmt.ExpRecord{
-		ID:               e.ID,
-		Topology:         topo,
-		Rows:             len(res.Rows),
-		VolatileCols:     res.VolatileCols(),
-		StableHash:       res.StableHash(),
-		WallSeconds:      wall,
-		Capture:          p.capture,
-		CompressionRatio: p.compression,
-		QueryColdUS:      p.coldUS,
-		QueryWarmUS:      p.warmUS,
-	}
+	fmt.Printf("-- %s @ %s (%.1fs)\n%s\n", e.ID, topo, time.Since(start).Seconds(), res.Render())
+	return res
 }
 
-// checkParity returns one message per experiment whose stable hash differs
-// between topologies.
-func checkParity(hashes map[string]map[string]string) []string {
+// checkParity compares an experiment's stable renders, one per topology,
+// against the first and returns one message per topology that differs,
+// naming the first line where it does.
+func checkParity(id string, topos, renders []string) []string {
 	var bad []string
-	for id, byTopo := range hashes {
-		var refTopo, refHash string
-		for _, kind := range experiments.AllTopologies() {
-			h, ok := byTopo[kind.String()]
-			if !ok {
-				continue
-			}
-			if refHash == "" {
-				refTopo, refHash = kind.String(), h
-				continue
-			}
-			if h != refHash {
-				bad = append(bad, fmt.Sprintf("%s: %s=%s != %s=%s", id, refTopo, refHash[:12], kind.String(), h[:12]))
-			}
+	for i := 1; i < len(renders); i++ {
+		if renders[i] == renders[0] {
+			continue
 		}
+		want := strings.Split(renders[0], "\n")
+		got := strings.Split(renders[i], "\n")
+		n := 0
+		for n < len(want) && n < len(got) && want[n] == got[n] {
+			n++
+		}
+		line := func(lines []string) string {
+			if n < len(lines) {
+				return fmt.Sprintf("%q", lines[n])
+			}
+			return "end of render"
+		}
+		bad = append(bad, fmt.Sprintf("%s: %s and %s differ at line %d: %s != %s",
+			id, topos[0], topos[i], n+1, line(want), line(got)))
 	}
-	sortStrings(bad)
 	return bad
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-}
-
-// probeStats is one topology's perf probe: a fixed OnlineBoutique workload
-// captured, flushed, sealed and queried through that deployment shape.
-type probeStats struct {
-	capture     benchfmt.CaptureStats
-	compression float64
-	coldUS      float64
-	warmUS      float64
-}
-
-func runProbe(kind experiments.TopoKind, n int) probeStats {
-	tp := experiments.NewTopo(kind)
-	defer tp.Close()
-	sys := sim.OnlineBoutique(9001)
-	fw := tp.NewMintFramework(sys.Nodes, mint.Config{BloomBufferBytes: 512}, 0)
-	fw.Warmup(sim.GenTraces(sys, 200))
-	traffic := sim.GenTraces(sys, n)
-
-	var rawBytes int64
-	for _, t := range traffic {
-		rawBytes += int64(t.Size())
-	}
-
-	var p probeStats
-	start := time.Now()
-	for _, t := range traffic {
-		fw.Capture(t)
-	}
-	fw.Flush()
-	p.capture.TracesPerSec = float64(n) / time.Since(start).Seconds()
-
-	// Compression ratio before the alloc-measurement captures below re-add
-	// duplicate traffic.
-	if sto := fw.StorageBytes(); sto > 0 {
-		p.compression = float64(rawBytes) / float64(sto)
-	}
-
-	i := 0
-	p.capture.AllocsPerOp = testing.AllocsPerRun(200, func() {
-		fw.Capture(traffic[i%len(traffic)])
-		i++
-	})
-
-	fw.Seal()
-
-	// Cold: first-touch queries (the sealed store has served nothing yet).
-	// Warm: the same IDs again, now answerable from the query cache.
-	ids := make([]string, 0, 128)
-	for j := 0; j < 128; j++ {
-		ids = append(ids, traffic[(j*31)%len(traffic)].TraceID)
-	}
-	start = time.Now()
-	for _, id := range ids {
-		fw.Query(id)
-	}
-	p.coldUS = float64(time.Since(start).Microseconds()) / float64(len(ids))
-	start = time.Now()
-	for _, id := range ids {
-		fw.Query(id)
-	}
-	p.warmUS = float64(time.Since(start).Microseconds()) / float64(len(ids))
-	fw.Close()
-	return p
 }

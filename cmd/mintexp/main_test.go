@@ -1,119 +1,31 @@
 package main
 
 import (
-	"bytes"
-	"encoding/json"
-	"flag"
-	"os"
-	"path/filepath"
+	"strings"
 	"testing"
 
-	"repro/internal/benchfmt"
 	"repro/internal/experiments"
 )
 
-// Regenerate with: go test ./cmd/mintexp -run TestGoldenArtifact -update-golden
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata golden files")
-
-// goldenArtifact builds the artifact for a small, fast experiment subset —
-// one non-cluster driver (fig13) and one cluster driver on every topology
-// (abl-hap) — with probes skipped, then normalizes away the wall-clock
-// fields. What remains is the schema surface: field set, ordering, row
-// counts and stable hashes, all deterministic run to run.
-func goldenArtifact() *benchfmt.ExpArtifact {
-	artifact := &benchfmt.ExpArtifact{Schema: benchfmt.ExpSchema}
-	for _, id := range []string{"fig13", "abl-hap"} {
-		e, ok := experiments.Lookup(id)
-		if !ok {
-			panic("golden subset lists unknown experiment " + id)
-		}
-		if !e.Cluster {
-			artifact.Experiments = append(artifact.Experiments,
-				runRecord(e, "any", func() *experiments.Result { return e.Run(nil) }, probeStats{}, true, ""))
-			continue
-		}
-		for _, kind := range experiments.AllTopologies() {
-			kind := kind
-			artifact.Experiments = append(artifact.Experiments,
-				runRecord(e, kind.String(), func() *experiments.Result {
-					return experiments.RunOn(e, kind)
-				}, probeStats{}, true, ""))
-		}
-	}
-	artifact.Sort()
-	artifact.Normalize()
-	return artifact
-}
-
-// TestGoldenArtifactSchema pins BENCH_experiments.json's deterministic
-// surface byte-for-byte against a committed golden file: the schema tag, the
-// field set and order the JSON encoder emits, the (id, topology) sort, and
-// the per-run stable hashes. A failing diff means either an intended figure
-// or schema change (regenerate with -update-golden, review the diff) or a
-// determinism regression (investigate before touching the golden).
-func TestGoldenArtifactSchema(t *testing.T) {
-	got, err := json.MarshalIndent(goldenArtifact(), "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got = append(got, '\n')
-
-	goldenPath := filepath.Join("testdata", "BENCH_experiments.golden.json")
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(goldenPath, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s", goldenPath)
-		return
-	}
-	want, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatalf("%v (regenerate with -update-golden)", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("artifact drifted from golden (regenerate with -update-golden if intended)\n--- got ---\n%s\n--- want ---\n%s", got, want)
-	}
-}
-
-// TestArtifactRoundTrip runs the golden subset through WriteFile/ReadExp and
-// checks the decoded artifact survives unchanged — the CI consumer's path.
-func TestArtifactRoundTrip(t *testing.T) {
-	artifact := goldenArtifact()
-	path := filepath.Join(t.TempDir(), "exp.json")
-	if err := benchfmt.WriteFile(path, artifact); err != nil {
-		t.Fatal(err)
-	}
-	back, err := benchfmt.ReadExp(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back.Experiments) != len(artifact.Experiments) {
-		t.Fatalf("round trip lost records: %d != %d", len(back.Experiments), len(artifact.Experiments))
-	}
-	for i := range back.Experiments {
-		a, _ := json.Marshal(back.Experiments[i])
-		b, _ := json.Marshal(artifact.Experiments[i])
-		if !bytes.Equal(a, b) {
-			t.Fatalf("record %d changed in round trip:\n%s\n%s", i, a, b)
-		}
-	}
-}
-
 func TestCheckParity(t *testing.T) {
-	ok := map[string]map[string]string{
-		"fig11": {"inproc": "aaaa_aaaa_aaaa", "reopen": "aaaa_aaaa_aaaa", "remote": "aaaa_aaaa_aaaa"},
-	}
-	if bad := checkParity(ok); len(bad) != 0 {
+	same := "== fig11 ==\nrow 1\nrow 2\n"
+	if bad := checkParity("fig11", []string{"inproc", "reopen", "remote"}, []string{same, same, same}); len(bad) != 0 {
 		t.Fatalf("false positive: %v", bad)
 	}
-	diverged := map[string]map[string]string{
-		"fig11": {"inproc": "aaaa_aaaa_aaaa", "reopen": "bbbb_bbbb_bbbb"},
+	diverged := "== fig11 ==\nrow 1\nrow 2 differs\n"
+	bad := checkParity("fig11", []string{"inproc", "reopen", "remote"}, []string{same, same, diverged})
+	if len(bad) != 1 {
+		t.Fatalf("want one divergence, got %v", bad)
 	}
-	if bad := checkParity(diverged); len(bad) != 1 {
-		t.Fatalf("missed divergence: %v", bad)
+	for _, want := range []string{"fig11", "inproc and remote", "line 3", `"row 2" != "row 2 differs"`} {
+		if !strings.Contains(bad[0], want) {
+			t.Fatalf("divergence report %q does not name %s", bad[0], want)
+		}
+	}
+	// A render that stops early differs at the first line it lacks.
+	bad = checkParity("fig15", []string{"inproc", "reopen"}, []string{"a\nb", "a"})
+	if len(bad) != 1 || !strings.Contains(bad[0], `line 2: "b" != end of render`) {
+		t.Fatalf("truncated render reported as %v", bad)
 	}
 }
 

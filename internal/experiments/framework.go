@@ -3,8 +3,10 @@
 // time) and takes the deployment topology to measure as a parameter, so the
 // same figure regenerates against the in-process sharded engine, the durable
 // engine reopened from disk, and the networked deployment — byte-identically
-// (cmd/mintexp and cmd/mintbench print the artifacts; bench_test.go wraps
-// them in testing.B benchmarks; parity_test.go pins the topology equality).
+// (cmd/mintexp prints the renders and checks that equality; bench_test.go
+// wraps the experiments in testing.B benchmarks; parity_test.go pins the
+// topology equality and golden_test.go pins two renders against committed
+// text).
 package experiments
 
 import (

@@ -10,26 +10,25 @@ type Entry struct {
 	Title   string
 	Run     func(*Topo) *Result
 	Heavy   bool // takes more than ~10 s
-	Figure  bool // figure (vs table)
 	Cluster bool // drives mint clusters, so the topology matters
 }
 
 // All returns every experiment driver, in paper order.
 func All() []Entry {
 	return []Entry{
-		{ID: "fig1", Title: "Daily trace volume (Fig. 1)", Run: Fig01DailyVolume, Figure: true},
-		{ID: "fig2", Title: "Per-service tracing overhead (Fig. 2)", Run: Fig02ServiceOverhead, Figure: true},
-		{ID: "fig3", Title: "Query miss rate under sampling (Fig. 3)", Run: Fig03MissRate, Figure: true},
+		{ID: "fig1", Title: "Daily trace volume (Fig. 1)", Run: Fig01DailyVolume},
+		{ID: "fig2", Title: "Per-service tracing overhead (Fig. 2)", Run: Fig02ServiceOverhead},
+		{ID: "fig3", Title: "Query miss rate under sampling (Fig. 3)", Run: Fig03MissRate},
 		{ID: "tab1", Title: "Commonality occurrence/proportion (Table 1)", Run: Table1Commonality},
-		{ID: "fig11", Title: "Network/storage overhead sweep (Fig. 11)", Run: Fig11OverheadSweep, Figure: true, Heavy: true, Cluster: true},
-		{ID: "fig12", Title: "Query hit numbers over 14 days (Fig. 12)", Run: Fig12QueryHits, Figure: true, Heavy: true, Cluster: true},
+		{ID: "fig11", Title: "Network/storage overhead sweep (Fig. 11)", Run: Fig11OverheadSweep, Heavy: true, Cluster: true},
+		{ID: "fig12", Title: "Query hit numbers over 14 days (Fig. 12)", Run: Fig12QueryHits, Heavy: true, Cluster: true},
 		{ID: "tab3", Title: "RCA top-1 accuracy (Table 3)", Run: Table3RCA, Heavy: true, Cluster: true},
-		{ID: "fig13", Title: "Dataset descriptions (Fig. 13)", Run: Fig13DatasetInfo, Figure: true},
+		{ID: "fig13", Title: "Dataset descriptions (Fig. 13)", Run: Fig13DatasetInfo},
 		{ID: "tab4", Title: "Compression ratios (Table 4)", Run: Table4Compression, Heavy: true},
-		{ID: "fig14", Title: "Load-test overhead (Fig. 14)", Run: Fig14LoadTests, Figure: true, Heavy: true, Cluster: true},
-		{ID: "fig15", Title: "Request & query latency (Fig. 15)", Run: Fig15Latency, Figure: true, Cluster: true},
+		{ID: "fig14", Title: "Load-test overhead (Fig. 14)", Run: Fig14LoadTests, Heavy: true, Cluster: true},
+		{ID: "fig15", Title: "Request & query latency (Fig. 15)", Run: Fig15Latency, Cluster: true},
 		{ID: "tab5", Title: "Pattern extraction counts (Table 5)", Run: Table5PatternCounts},
-		{ID: "fig16", Title: "Similarity-threshold sensitivity (Fig. 16)", Run: Fig16Sensitivity, Figure: true},
+		{ID: "fig16", Title: "Similarity-threshold sensitivity (Fig. 16)", Run: Fig16Sensitivity},
 		{ID: "abl-bloom", Title: "Ablation: Bloom buffer size", Run: AblationBloomBuffer, Heavy: true, Cluster: true},
 		{ID: "abl-params", Title: "Ablation: Params Buffer size", Run: AblationParamsBuffer, Heavy: true, Cluster: true},
 		{ID: "abl-hap", Title: "Ablation: parallel HAP", Run: AblationParallelHAP, Cluster: true},

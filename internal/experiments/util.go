@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"strings"
 )
@@ -35,20 +33,6 @@ func (r *Result) MarkVolatileCols(cols ...int) {
 	}
 }
 
-// VolatileCols returns the marked wall-clock columns in ascending order.
-func (r *Result) VolatileCols() []int {
-	out := make([]int, 0, len(r.volatileCols))
-	for c := range r.volatileCols {
-		out = append(out, c)
-	}
-	for i := 1; i < len(out); i++ { // insertion sort; the sets are tiny
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
-}
-
 // StableRows returns the rows with volatile cells masked.
 func (r *Result) StableRows() [][]string {
 	if len(r.volatileCols) == 0 {
@@ -72,16 +56,9 @@ func (r *Result) Render() string { return r.render(r.Rows) }
 
 // RenderStable pretty-prints the Result with volatile (wall-clock) cells
 // masked: two topologies — or two runs — regenerating the same figure must
-// produce byte-identical stable renders. This is the artifact the parity
-// tests and the CI cross-topology diff compare.
+// produce byte-identical stable renders. This is what the parity tests, the
+// render golden and mintexp -parity compare.
 func (r *Result) RenderStable() string { return r.render(r.StableRows()) }
-
-// StableHash returns the hex SHA-256 of RenderStable — the fingerprint
-// BENCH_experiments.json records per (experiment, topology).
-func (r *Result) StableHash() string {
-	sum := sha256.Sum256([]byte(r.RenderStable()))
-	return hex.EncodeToString(sum[:])
-}
 
 func (r *Result) render(rows [][]string) string {
 	var b strings.Builder

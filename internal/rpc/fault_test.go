@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -85,50 +86,87 @@ func TestRedialReplaysJournaledIngest(t *testing.T) {
 	}
 }
 
-// mkEnvelope builds a raw sequenced envelope payload carrying one mark op.
-func mkEnvelope(session, seq uint64, traceID string) []byte {
+// mkEnvelope builds a raw sequenced envelope payload carrying one mark op,
+// stamped with the sender's journal head.
+func mkEnvelope(session, seq, head uint64, traceID string) []byte {
 	var hdr [envelopeHeaderBytes]byte
 	binary.BigEndian.PutUint64(hdr[:8], session)
-	binary.BigEndian.PutUint64(hdr[8:], seq)
+	binary.BigEndian.PutUint64(hdr[8:16], seq)
+	binary.BigEndian.PutUint64(hdr[16:], head)
 	return append(hdr[:], wire.AppendMarkOp(nil, traceID, "r")...)
 }
 
 // The server's per-session window must acknowledge duplicates without
 // re-applying, answer busy to sequence gaps, and treat each session
-// independently (any first sequence opens a window — the rule that lets a
-// restarted server pick up a mid-life client).
+// independently (a session the server does not know opens its window at the
+// journal head its first envelope carries — the rule that lets a restarted
+// server pick up a mid-life client).
 func TestEnvelopeDedupWindow(t *testing.T) {
 	s := NewServer(backend.NewSharded(0, 1))
-	if resp := s.applyEnvelope(nil, 1, mkEnvelope(9, 1, "a")); resp[0] != respOK {
+	if resp := s.applyEnvelope(nil, 1, mkEnvelope(9, 1, 1, "a")); resp[0] != respOK {
 		t.Fatalf("first envelope answered 0x%02x, want respOK", resp[0])
 	}
-	if resp := s.applyEnvelope(nil, 2, mkEnvelope(9, 1, "a")); resp[0] != respOK {
+	if resp := s.applyEnvelope(nil, 2, mkEnvelope(9, 1, 1, "a")); resp[0] != respOK {
 		t.Fatalf("duplicate answered 0x%02x, want respOK", resp[0])
 	}
 	if got := s.DedupHits(); got != 1 {
 		t.Fatalf("DedupHits = %d, want 1", got)
 	}
-	if resp := s.applyEnvelope(nil, 3, mkEnvelope(9, 3, "c")); resp[0] != respBusy {
+	if resp := s.applyEnvelope(nil, 3, mkEnvelope(9, 3, 2, "c")); resp[0] != respBusy {
 		t.Fatalf("gap answered 0x%02x, want respBusy", resp[0])
 	}
-	if resp := s.applyEnvelope(nil, 4, mkEnvelope(9, 2, "b")); resp[0] != respOK {
+	if resp := s.applyEnvelope(nil, 4, mkEnvelope(9, 2, 2, "b")); resp[0] != respOK {
 		t.Fatalf("gap-filling envelope answered 0x%02x, want respOK", resp[0])
 	}
-	if resp := s.applyEnvelope(nil, 5, mkEnvelope(9, 3, "c")); resp[0] != respOK {
+	if resp := s.applyEnvelope(nil, 5, mkEnvelope(9, 3, 3, "c")); resp[0] != respOK {
 		t.Fatalf("replay after gap fill answered 0x%02x, want respOK", resp[0])
 	}
-	// A different session starting mid-stream opens its own window.
-	if resp := s.applyEnvelope(nil, 6, mkEnvelope(11, 40, "d")); resp[0] != respOK {
+	// A different session starting mid-stream (its first 39 envelopes were
+	// acknowledged by an earlier server process) opens its own window at
+	// its head.
+	if resp := s.applyEnvelope(nil, 6, mkEnvelope(11, 40, 40, "d")); resp[0] != respOK {
 		t.Fatalf("fresh session's first envelope answered 0x%02x, want respOK", resp[0])
 	}
 	if got := s.IngestSessions(); got != 2 {
 		t.Fatalf("IngestSessions = %d, want 2", got)
 	}
-	if resp := s.applyEnvelope(nil, 7, mkEnvelope(0, 1, "e")); resp[0] != respErr {
-		t.Fatalf("zero session answered 0x%02x, want respErr", resp[0])
+	for i, env := range [][]byte{
+		mkEnvelope(0, 1, 1, "e"),  // zero session
+		mkEnvelope(13, 0, 1, "e"), // zero sequence
+		mkEnvelope(13, 1, 0, "e"), // zero head
+		mkEnvelope(13, 1, 2, "e"), // head past the sequence it rides on
+		{1, 2, 3},                 // shorter than the header
+	} {
+		if resp := s.applyEnvelope(nil, uint64(7+i), env); resp[0] != respErr {
+			t.Fatalf("malformed envelope %d answered 0x%02x, want respErr", i, resp[0])
+		}
 	}
-	if resp := s.applyEnvelope(nil, 8, []byte{1, 2, 3}); resp[0] != respErr {
-		t.Fatalf("short envelope answered 0x%02x, want respErr", resp[0])
+}
+
+// TestShedHeadReplayIsApplied pins the shedding race at the window's edge: a
+// fresh session's head envelope is shed (busy) while its pipelined successor
+// is accepted. The successor must wait for the head — the window opens at
+// the head it carries, not at the first sequence that arrives — so the
+// head's replay applies instead of being acknowledged as a duplicate.
+func TestShedHeadReplayIsApplied(t *testing.T) {
+	b := backend.NewSharded(0, 1)
+	s := NewServer(b)
+	if resp := s.applyEnvelope(nil, 1, mkEnvelope(21, 2, 1, "second")); resp[0] != respBusy {
+		t.Fatalf("successor of a missing head answered 0x%02x, want respBusy", resp[0])
+	}
+	if resp := s.applyEnvelope(nil, 2, mkEnvelope(21, 1, 1, "first")); resp[0] != respOK {
+		t.Fatalf("replayed head answered 0x%02x, want respOK", resp[0])
+	}
+	if resp := s.applyEnvelope(nil, 3, mkEnvelope(21, 2, 1, "second")); resp[0] != respOK {
+		t.Fatalf("replayed successor answered 0x%02x, want respOK", resp[0])
+	}
+	for _, id := range []string{"first", "second"} {
+		if !b.Sampled(id) {
+			t.Fatalf("mark %s acknowledged but never applied", id)
+		}
+	}
+	if got := s.DedupHits(); got != 0 {
+		t.Fatalf("DedupHits = %d, want 0: nothing was sent twice after applying", got)
 	}
 }
 
@@ -139,6 +177,13 @@ func TestIngestShedsAndClientReplays(t *testing.T) {
 	overrideFaultTimers(t)
 	restore := SetIngestQueueDepthForTest(0) // every concurrent envelope sheds
 	t.Cleanup(restore)
+	// Hold the apply worker on its first envelope until the reader has shed
+	// one behind it, so shedding happens on every run rather than only when
+	// the worker falls behind by chance.
+	release := make(chan struct{})
+	var hold sync.Once
+	testHookIngestApply = func() { hold.Do(func() { <-release }) }
+	t.Cleanup(func() { testHookIngestApply = nil })
 
 	b := backend.NewSharded(0, 1)
 	cli, srv := startLoopback(t, b)
@@ -153,6 +198,10 @@ func TestIngestShedsAndClientReplays(t *testing.T) {
 		cli.flushOpsLocked()
 		cli.mu.Unlock()
 	}
+	for deadline := time.Now().Add(5 * time.Second); srv.Shed() == 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
 	if err := cli.Ping(); err != nil { // barrier: journal must drain
 		t.Fatalf("ping barrier: %v", err)
 	}
@@ -162,7 +211,7 @@ func TestIngestShedsAndClientReplays(t *testing.T) {
 		}
 	}
 	if srv.Shed() == 0 {
-		t.Fatal("an unbuffered ingest queue shed nothing under 200 pipelined envelopes")
+		t.Fatalf("an unbuffered ingest queue shed nothing under %d pipelined envelopes", n)
 	}
 	if err := cli.Err(); err != nil {
 		t.Fatalf("shedding latched an error: %v", err)

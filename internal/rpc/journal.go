@@ -30,7 +30,9 @@ type envEntry struct {
 // byte bound and the envelope must be dropped instead (the dropped envelope
 // consumes no sequence number, so the journal never develops a gap the
 // server's in-order window would refuse to step over). The caller owns
-// surfacing the loss.
+// surfacing the loss. The header's head field is left zero: pumpJournal
+// stamps it on the outgoing copy, because a head read now would be stale by
+// the time the envelope is sent.
 func (c *Client) journalAppend(ops []byte) *envEntry {
 	c.jmu.Lock()
 	defer c.jmu.Unlock()
@@ -41,7 +43,7 @@ func (c *Client) journalAppend(ops []byte) *envEntry {
 	e := &envEntry{seq: c.nextSeq}
 	var hdr [envelopeHeaderBytes]byte
 	binary.BigEndian.PutUint64(hdr[:8], c.session)
-	binary.BigEndian.PutUint64(hdr[8:], e.seq)
+	binary.BigEndian.PutUint64(hdr[8:16], e.seq)
 	e.buf = append(append(e.buf, hdr[:]...), ops...)
 	c.journal = append(c.journal, e)
 	c.jbytes += len(e.buf)
@@ -115,6 +117,11 @@ const (
 // first entry that is not yet due for resend — envelopes must reach the
 // server in sequence order, and skipping a backed-off entry would only earn
 // a busy answer for its successors.
+//
+// Each send carries the journal head (the lowest unacknowledged sequence)
+// read at send time: a server that has lost or never had this session opens
+// its window there, so an envelope whose predecessor was shed waits for the
+// predecessor's replay instead of opening the window past it.
 func (c *Client) pumpJournal() {
 	c.jmu.Lock()
 	if c.pumping {
@@ -149,7 +156,7 @@ func (c *Client) pumpJournal() {
 		e.sent = true
 		replay := e.everSent
 		e.everSent = true
-		seq, buf := e.seq, e.buf
+		seq, buf, head := e.seq, e.buf, c.journal[0].seq
 		c.jmu.Unlock()
 
 		cc := c.state().cc
@@ -164,7 +171,12 @@ func (c *Client) pumpJournal() {
 		}
 		ca := getCall()
 		ca.background, ca.seq = true, seq
-		if err := cc.send(reqEnvelope, ca, func(dst []byte) []byte { return append(dst, buf...) }); err != nil {
+		stamp := func(dst []byte) []byte {
+			dst = append(dst, buf...)
+			binary.BigEndian.PutUint64(dst[len(dst)-len(buf)+16:], head)
+			return dst
+		}
+		if err := cc.send(reqEnvelope, ca, stamp); err != nil {
 			putCall(ca)
 			c.jmu.Lock()
 			e.sent = false

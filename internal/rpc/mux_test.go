@@ -18,8 +18,9 @@ import (
 // An older peer connecting to this server must learn exactly which versions
 // disagreed: the server answers the bad preamble with its own preamble (so
 // the old client's own handshake check names both versions) and closes.
-// Version 3 is the generation that still shipped fixed-size Bloom filters;
-// there is no reader for it, so it is refused like any other.
+// Version 3 is the generation that still shipped fixed-size Bloom filters and
+// version 5 the last one without the journal head in the envelope header;
+// there is no reader for either, so each is refused like any other.
 func TestHandshakeMismatchOldClientAgainstNewServer(t *testing.T) {
 	srv := NewServer(backend.NewSharded(0, 1))
 	addr, err := srv.Listen("127.0.0.1:0")
@@ -28,7 +29,7 @@ func TestHandshakeMismatchOldClientAgainstNewServer(t *testing.T) {
 	}
 	t.Cleanup(func() { srv.Close() })
 
-	for _, old := range []byte{1, 3, 4} {
+	for _, old := range []byte{1, 3, 4, 5} {
 		nc, err := net.Dial("tcp", addr.String())
 		if err != nil {
 			t.Fatalf("dial: %v", err)
@@ -43,7 +44,7 @@ func TestHandshakeMismatchOldClientAgainstNewServer(t *testing.T) {
 			t.Fatalf("v%d: read server preamble: %v", old, err)
 		}
 		// The answer is the server's own preamble; the old client's
-		// handshake check turns it into "peer speaks protocol version 5,
+		// handshake check turns it into "peer speaks protocol version 6,
 		// want <old>": the magic matched, the versions differ.
 		if string(reply) != string(handshakeBytes()) || reply[len(Magic)] == old {
 			t.Fatalf("v%d: server answered %q, want its own preamble %q", old, reply, handshakeBytes())
@@ -53,7 +54,7 @@ func TestHandshakeMismatchOldClientAgainstNewServer(t *testing.T) {
 		}
 	}
 	// And this side of the same check, when the peer is the old one.
-	for _, old := range []byte{3, 4} {
+	for _, old := range []byte{3, 4, 5} {
 		err = checkHandshake(append([]byte(Magic), old))
 		want := fmt.Sprintf("version %d, want %d", old, ProtoVersion)
 		if !errors.Is(err, ErrProtocol) || !strings.Contains(err.Error(), want) {

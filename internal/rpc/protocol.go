@@ -66,11 +66,11 @@ const (
 	// Magic opens every connection, client-first.
 	Magic = "MINT"
 	// ProtoVersion is the protocol generation this package speaks; any
-	// other is rejected at the handshake. Version 5 changed what a Bloom
-	// report that is not Full means: a delta the server merges into the
-	// pair's live segment, where a version-4 server replaced that segment
-	// with it (and would keep only the last delta).
-	ProtoVersion = 5
+	// other is rejected at the handshake. Version 6 added the journal head
+	// to the envelope header, so a server that does not know a session
+	// opens its window where the client's unacknowledged envelopes start
+	// instead of at whichever envelope happens to arrive first.
+	ProtoVersion = 6
 )
 
 // MaxFrameBytes bounds a frame payload (256 MB). A length beyond it is
@@ -112,13 +112,16 @@ const (
 	respBusy = 0x89
 )
 
-// envelopeHeaderBytes is the fixed prefix of every reqEnvelope payload since
-// protocol version 3: an 8-byte big-endian client-session ID followed by an
-// 8-byte big-endian sequence number, both assigned by the client. Sequence
-// numbers start at 1 and increment per envelope; the server applies a
-// session's envelopes in sequence order exactly once (duplicates acknowledge
-// without re-applying, gaps answer busy so the client replays in order).
-const envelopeHeaderBytes = 16
+// envelopeHeaderBytes is the fixed prefix of every reqEnvelope payload: an
+// 8-byte big-endian client-session ID, an 8-byte big-endian sequence number
+// and the 8-byte big-endian journal head, all assigned by the client.
+// Sequence numbers start at 1 and increment per envelope; the head is the
+// lowest sequence the client still holds unacknowledged when it sends, so
+// head <= sequence. The server applies a session's envelopes in sequence
+// order exactly once (duplicates acknowledge without re-applying, gaps answer
+// busy so the client replays in order); a session it does not know opens at
+// the head, so an envelope that overtook a shed predecessor waits for it.
+const envelopeHeaderBytes = 24
 
 // ErrProtocol reports a violation of the framing or handshake rules (bad
 // magic, version mismatch, unknown frame type, oversized frame). Errors wrap

@@ -59,12 +59,13 @@ func SetIngestQueueDepthForTest(n int) (restore func()) {
 // maxIngestSessions bounds the per-session dedup window map. Sessions are
 // per-client-lifetime, so thousands of live entries mean thousands of live
 // clients; past the bound the least-recently-used session is evicted (its
-// client, if still alive, restarts its window on the next envelope — the
-// first-envelope rule accepts any starting sequence).
+// client, if still alive, reopens its window at the journal head its next
+// envelope carries).
 const maxIngestSessions = 4096
 
 // ingestSession is one client session's exactly-once window: the highest
-// sequence applied. Envelopes at or below it acknowledge without
+// sequence applied, which starts just below the journal head the session's
+// first envelope carries. Envelopes at or below it acknowledge without
 // re-applying; the next sequence applies; anything further ahead answers
 // busy until the gap fills. mu serializes the check-and-apply, so a replayed
 // duplicate racing its original cannot double-apply.
@@ -78,6 +79,11 @@ type ingestSession struct {
 // to the concurrent query pool (as opposed to handled inline on the reader).
 // Tests use it to pin the concurrency structure deterministically.
 var testHookQueryDispatch func(typ byte)
+
+// testHookIngestApply, when set, runs on the ingest worker before each
+// queued frame is applied. Tests use it to hold the worker busy so the
+// reader's shedding is deterministic rather than a matter of timing.
+var testHookIngestApply func()
 
 // Server serves the backend protocol on accepted connections: ingest
 // (sequenced envelopes of coalesced pattern/Bloom/params reports and
@@ -233,9 +239,9 @@ func NewServer(b *backend.Backend) *Server {
 	return s
 }
 
-// session returns (creating if needed) the dedup window for one client
-// session, evicting the least-recently-used entry past the bound.
-func (s *Server) session(id uint64) *ingestSession {
+// session returns the dedup window for one client session, creating it open
+// just below head and evicting the least-recently-used entry past the bound.
+func (s *Server) session(id, head uint64) *ingestSession {
 	now := time.Now().UnixNano()
 	s.smu.Lock()
 	defer s.smu.Unlock()
@@ -251,7 +257,7 @@ func (s *Server) session(id uint64) *ingestSession {
 			}
 			delete(s.sessions, oldID)
 		}
-		se = &ingestSession{}
+		se = &ingestSession{last: head - 1}
 		s.sessions[id] = se
 	}
 	se.lastUsed.Store(now)
@@ -483,6 +489,9 @@ func (sc *serverConn) ingestWorker() {
 		start := time.Now()
 		wait := start.Sub(it.at)
 		n := len(it.pb.b)
+		if testHookIngestApply != nil {
+			testHookIngestApply()
+		}
 		resp = sc.srv.safeHandle(resp[:0], it.typ, it.id, it.pb.b)
 		putBuf(it.pb)
 		sc.srv.observeOp(it.typ, sc.srv.ingestWait, wait, time.Since(start), n)
@@ -700,8 +709,11 @@ func (s *Server) safeHandle(dst []byte, typ byte, id uint64, payload []byte) (re
 // sequence applies (then advances the window only after the WAL buffer has
 // the records — an acknowledged envelope survives a crash of this process),
 // and a sequence past the window answers busy until the client fills the
-// gap. Holding the session lock across the check-and-apply is what makes a
-// replayed duplicate racing its original single-apply.
+// gap. A session the server does not know opens its window at the envelope's
+// journal head, so a shed head's pipelined successor cannot open the window
+// past the head and turn the head's replay into a dedup hit. Holding the
+// session lock across the check-and-apply is what makes a replayed
+// duplicate racing its original single-apply.
 func (s *Server) applyEnvelope(dst []byte, id uint64, payload []byte) []byte {
 	if len(payload) < envelopeHeaderBytes {
 		return errFrame(dst, id, fmt.Sprintf("envelope of %d bytes is shorter than its %d-byte header",
@@ -709,17 +721,18 @@ func (s *Server) applyEnvelope(dst []byte, id uint64, payload []byte) []byte {
 	}
 	session := binary.BigEndian.Uint64(payload[:8])
 	seq := binary.BigEndian.Uint64(payload[8:16])
-	if session == 0 || seq == 0 {
-		return errFrame(dst, id, "zero envelope session or sequence")
+	head := binary.BigEndian.Uint64(payload[16:24])
+	if session == 0 || seq == 0 || head == 0 || head > seq {
+		return errFrame(dst, id, fmt.Sprintf("bad envelope header: session %d, sequence %d, head %d", session, seq, head))
 	}
-	se := s.session(session)
+	se := s.session(session, head)
 	se.mu.Lock()
 	defer se.mu.Unlock()
 	switch {
 	case seq <= se.last:
 		s.dedupHits.Add(1)
 		return appendFrame(dst, respOK, id, nil)
-	case se.last != 0 && seq > se.last+1:
+	case seq > se.last+1:
 		return busyFrame(dst, id, gapRetryAfter)
 	}
 	err := wire.WalkEnvelope(payload[envelopeHeaderBytes:], s.backend)

@@ -217,12 +217,3 @@ func (m *Meter) ByNode(node string) int64 {
 	defer m.mu.Unlock()
 	return m.byNode[node]
 }
-
-// Reset zeroes the meter.
-func (m *Meter) Reset() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.total = 0
-	m.byNode = map[string]int64{}
-	m.byKind = map[string]int64{}
-}

@@ -809,10 +809,6 @@ func (c *Cluster) QueryMany(traceIDs []string) []QueryResult {
 // NetworkBytes returns the total bytes agents and backend exchanged.
 func (c *Cluster) NetworkBytes() int64 { return c.meter.Total() }
 
-// NetworkBytesByKind returns the bytes sent for one message kind
-// ("patterns", "bloom", "params", "notice").
-func (c *Cluster) NetworkBytesByKind(kind string) int64 { return c.meter.ByKind(kind) }
-
 // StorageBytes returns the backend's persisted bytes (one stats round-trip
 // on a remote cluster). On a closed cluster it answers 0 and records
 // ErrClosed (see Err).
@@ -860,9 +856,6 @@ func (c *Cluster) backendStats() rpc.Stats {
 	}
 	return rpc.BackendStats(c.local)
 }
-
-// ResetMeter zeroes the network meter (between experiment phases).
-func (c *Cluster) ResetMeter() { c.meter.Reset() }
 
 // AgentEvictions reports how many parameter blocks a node's Params Buffer
 // has dropped under memory pressure (diagnostics for buffer sizing).

@@ -15,24 +15,19 @@
 //
 // Every budgeted benchmark must appear in the input; a missing one fails
 // the gate (it usually means the bench was renamed and the budget silently
-// stopped gating anything).
-//
-// -json <path> additionally writes the verdicts as a machine-readable
-// "mint-bench-budget/v1" artifact (internal/benchfmt), which cmd/mintexp
-// folds into BENCH_experiments.json for the perf trajectory. The artifact is
-// written even when the gate fails — a failing run is exactly the one worth
-// archiving.
+// stopped gating anything). The exit code is 0 when every budget holds, 1
+// when one is exceeded or missing, and 2 when the budget file or the input
+// cannot be read.
 package main
 
 import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
-
-	"repro/internal/benchfmt"
 )
 
 // budget is one benchmark's allocation ceiling.
@@ -97,60 +92,47 @@ func parseBenchLine(line string) (name string, allocs int64, ok bool) {
 
 func main() {
 	budgetPath := flag.String("budget", "tools/benchbudget/budget.txt", "budget file")
-	jsonOut := flag.String("json", "", "also write the verdicts as a mint-bench-budget/v1 JSON artifact")
 	flag.Parse()
+	os.Exit(gate(*budgetPath, os.Stdin, os.Stdout, os.Stderr))
+}
 
-	budgets, err := readBudgets(*budgetPath)
+// gate checks the bench output on in against the budget file, passing the
+// output through to stdout for the CI log, and returns the exit code.
+func gate(budgetPath string, in io.Reader, stdout, stderr io.Writer) int {
+	budgets, err := readBudgets(budgetPath)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchbudget:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "benchbudget:", err)
+		return 2
 	}
 
 	measured := map[string]int64{}
-	sc := bufio.NewScanner(os.Stdin)
+	sc := bufio.NewScanner(in)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
 		line := sc.Text()
-		fmt.Println(line) // pass the bench output through for the CI log
+		fmt.Fprintln(stdout, line)
 		if name, allocs, ok := parseBenchLine(line); ok {
 			measured[name] = allocs
 		}
 	}
 	if err := sc.Err(); err != nil {
-		fmt.Fprintln(os.Stderr, "benchbudget: reading stdin:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "benchbudget: reading stdin:", err)
+		return 2
 	}
 
-	artifact := benchfmt.BudgetArtifact{Schema: benchfmt.BudgetSchema}
-	failed := false
+	code := 0
 	for _, b := range budgets {
 		got, ok := measured[b.name]
 		switch {
 		case !ok:
-			fmt.Fprintf(os.Stderr, "benchbudget: %s: not found in bench output (renamed? run it!)\n", b.name)
-			failed = true
-			got = -1 // recorded in the artifact as "not measured"
+			fmt.Fprintf(stderr, "benchbudget: %s: not found in bench output (renamed? run it!)\n", b.name)
+			code = 1
 		case got > b.max:
-			fmt.Fprintf(os.Stderr, "benchbudget: %s: %d allocs/op exceeds budget %d\n", b.name, got, b.max)
-			failed = true
+			fmt.Fprintf(stderr, "benchbudget: %s: %d allocs/op exceeds budget %d\n", b.name, got, b.max)
+			code = 1
 		default:
-			fmt.Printf("benchbudget: %s: %d allocs/op within budget %d\n", b.name, got, b.max)
-		}
-		artifact.Entries = append(artifact.Entries, benchfmt.BudgetEntry{
-			Name:         b.name,
-			AllocsPerOp:  got,
-			Budget:       b.max,
-			WithinBudget: ok && got <= b.max,
-		})
-	}
-	if *jsonOut != "" {
-		artifact.Sort()
-		if err := benchfmt.WriteFile(*jsonOut, &artifact); err != nil {
-			fmt.Fprintln(os.Stderr, "benchbudget:", err)
-			os.Exit(2)
+			fmt.Fprintf(stdout, "benchbudget: %s: %d allocs/op within budget %d\n", b.name, got, b.max)
 		}
 	}
-	if failed {
-		os.Exit(1)
-	}
+	return code
 }
