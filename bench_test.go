@@ -30,7 +30,7 @@ func runExperiment(b *testing.B, id string) {
 		b.Fatalf("unknown experiment %s", id)
 	}
 	for i := 0; i < b.N; i++ {
-		res := experiments.RunOn(e, experiments.TopoInProc)
+		res := e.Run()
 		if len(res.Rows) == 0 {
 			b.Fatalf("%s produced no rows", id)
 		}

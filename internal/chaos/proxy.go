@@ -11,7 +11,7 @@
 // All randomness comes from one seeded source, so a fault schedule is
 // reproducible given the same seed and the same traffic shape; Calm turns
 // the schedule off mid-run, after which the proxy forwards faithfully —
-// the shape the parity harness needs (aggressive faults, then a calm
+// the shape a convergence test needs (aggressive faults, then a calm
 // window to converge in).
 package chaos
 

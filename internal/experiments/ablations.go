@@ -18,7 +18,7 @@ import (
 // delay reports (the paper chose 4 KB). A filter serializes at the size of
 // what it holds, so at low volume a larger buffer costs only wider gaps
 // between set bits, not its whole bit array.
-func AblationBloomBuffer(tp *Topo) *Result {
+func AblationBloomBuffer() *Result {
 	res := &Result{
 		ID:     "abl-bloom",
 		Title:  "Ablation: Bloom buffer size vs overhead (OnlineBoutique, 2000 traces)",
@@ -26,7 +26,7 @@ func AblationBloomBuffer(tp *Topo) *Result {
 	}
 	for _, buf := range []int{128, 512, 2048, 4096, 16384} {
 		sys := sim.OnlineBoutique(321)
-		fw := tp.NewMintFramework(sys.Nodes, mint.Config{BloomBufferBytes: buf}, 0)
+		fw := newMint(sys.Nodes, mint.Config{BloomBufferBytes: buf})
 		fw.Warmup(sim.GenTraces(sys, 200))
 		for _, t := range genMixedTraffic(sys, 2000, 0.05) {
 			fw.Capture(t)
@@ -57,7 +57,7 @@ func capacityOf(bufBytes int) int {
 // AblationParamsBuffer sweeps the Params Buffer capacity and reports how
 // many parameter blocks were evicted before a sampling decision could
 // retrieve them — the cost of under-provisioning the 4 MB default.
-func AblationParamsBuffer(tp *Topo) *Result {
+func AblationParamsBuffer() *Result {
 	res := &Result{
 		ID:     "abl-params",
 		Title:  "Ablation: Params Buffer size vs evictions (OnlineBoutique, 3000 traces)",
@@ -65,10 +65,10 @@ func AblationParamsBuffer(tp *Topo) *Result {
 	}
 	for _, buf := range []int{8 << 10, 32 << 10, 128 << 10, 4 << 20} {
 		sys := sim.OnlineBoutique(654)
-		fw := tp.NewMintFramework(sys.Nodes, mint.Config{
+		fw := newMint(sys.Nodes, mint.Config{
 			BloomBufferBytes:  512,
 			ParamsBufferBytes: buf,
-		}, 0)
+		})
 		fw.Warmup(sim.GenTraces(sys, 200))
 		traffic := genMixedTraffic(sys, 3000, 0.05)
 		var abnormal []string
@@ -80,8 +80,6 @@ func AblationParamsBuffer(tp *Topo) *Result {
 				}
 			}
 		}
-		// Seal snapshots the eviction counters, so the reopen topology
-		// reports the same counts as the in-process one.
 		fw.Seal()
 		exact, partial := 0, 0
 		for _, id := range abnormal {
@@ -105,7 +103,7 @@ func AblationParamsBuffer(tp *Topo) *Result {
 
 // AblationParallelHAP compares sequential vs parallel hierarchical
 // attribute parsing wall time over identical traffic.
-func AblationParallelHAP(tp *Topo) *Result {
+func AblationParallelHAP() *Result {
 	res := &Result{
 		ID:     "abl-hap",
 		Title:  "Ablation: sequential vs parallel HAP (identical parse results)",
@@ -114,10 +112,10 @@ func AblationParallelHAP(tp *Topo) *Result {
 	sys := sim.OnlineBoutique(987)
 	traffic := sim.GenTraces(sys, 500)
 	for _, parallel := range []bool{false, true} {
-		fw := tp.NewMintFramework(sys.Nodes, mint.Config{
+		fw := newMint(sys.Nodes, mint.Config{
 			BloomBufferBytes: 512,
 			ParallelHAP:      parallel,
-		}, 0)
+		})
 		for _, t := range traffic {
 			fw.Capture(t)
 		}

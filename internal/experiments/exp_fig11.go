@@ -20,17 +20,16 @@ const abnormalFlag = "is_abnormal"
 const sweepScale = 100
 
 // newFrameworkSet builds the six frameworks of Fig. 11 over a system's
-// nodes, with the Mint deployment shaped by the topology under test. Mint
-// uses paper defaults; 4 KB Bloom buffers amortize poorly at 1/100 scale, so
+// nodes. Mint uses paper defaults; 4 KB Bloom buffers amortize poorly at 1/100 scale, so
 // the buffer scales down with the workload (documented in EXPERIMENTS.md).
-func newFrameworkSet(tp *Topo, nodes []string, seed int64) []baseline.Framework {
+func newFrameworkSet(nodes []string, seed int64) []baseline.Framework {
 	return []baseline.Framework{
 		baseline.NewOTFull(),
 		baseline.NewOTHead(0.05),
 		baseline.NewOTTailOnFlag(abnormalFlag),
 		baseline.NewSieve(8, 256, seed),
 		baseline.NewHindsightOnFlag(abnormalFlag),
-		tp.NewMintFramework(nodes, mint.Config{BloomBufferBytes: 512}, 0),
+		newMint(nodes, mint.Config{BloomBufferBytes: 512}),
 	}
 }
 
@@ -53,7 +52,7 @@ func genMixedTraffic(sys *sim.System, n int, abnormalFrac float64) []*trace.Trac
 // storage overhead (MB/min) versus request throughput on OnlineBoutique and
 // TrainTicket for six tracing frameworks. 5% of traffic is tagged abnormal
 // and every biased method samples on the tag.
-func Fig11OverheadSweep(tp *Topo) *Result {
+func Fig11OverheadSweep() *Result {
 	res := &Result{
 		ID:    "fig11",
 		Title: "Network and storage overhead vs request throughput (MB/min, production scale)",
@@ -74,7 +73,7 @@ func Fig11OverheadSweep(tp *Topo) *Result {
 			n := rate / sweepScale
 			sys := bm.mk(int64(1000 + bi))
 			warm := sim.GenTraces(sys, 200)
-			fws := newFrameworkSet(tp, sys.Nodes, int64(42+bi))
+			fws := newFrameworkSet(sys.Nodes, int64(42+bi))
 			for _, fw := range fws {
 				fw.Warmup(warm)
 			}
@@ -104,38 +103,10 @@ func Fig11OverheadSweep(tp *Topo) *Result {
 					bm.name, fw.Name(), fmtI(rate), fmtF(net, 1), fmtF(sto, 1), netPct, stoPct,
 				})
 			}
-			closeMint(fws)
 		}
 	}
 	res.Notes = append(res.Notes,
 		"paper: Mint reduces storage to 2.7% and network to 4.2% of OT-Full on average",
 		fmt.Sprintf("workload simulated at 1/%d scale; byte rates scaled back to production req/min", sweepScale))
 	return res
-}
-
-// MintReductionSummary computes the headline abstract numbers (storage
-// reduced to ~2.7%, network to ~4.2%) by averaging Mint's share of OT-Full
-// across the Fig. 11 sweep under the given topology. Used by tests and the
-// README quickstart.
-func MintReductionSummary(tp *Topo) (netShare, stoShare float64) {
-	benchmarks := []func(int64) *sim.System{sim.OnlineBoutique, sim.TrainTicket}
-	var nets, stos, count float64
-	for bi, mk := range benchmarks {
-		sys := mk(int64(2000 + bi))
-		warm := sim.GenTraces(sys, 200)
-		full := baseline.NewOTFull()
-		mintFW := tp.NewMintFramework(sys.Nodes, mint.Config{BloomBufferBytes: 512}, 0)
-		mintFW.Warmup(warm)
-		traffic := genMixedTraffic(sys, 600, 0.05)
-		for _, t := range traffic {
-			full.Capture(t)
-			mintFW.Capture(t)
-		}
-		mintFW.Seal()
-		nets += float64(mintFW.NetworkBytes()) / float64(full.NetworkBytes())
-		stos += float64(mintFW.StorageBytes()) / float64(full.StorageBytes())
-		mintFW.Close()
-		count++
-	}
-	return nets / count, stos / count
 }

@@ -15,12 +15,8 @@ import (
 // tracing framework can answer per day over a 14-day monitoring window.
 // Exact hits return full trace information; Mint additionally answers every
 // remaining query with an approximate trace (partial hits), so Mint-Partial
-// tracks the total query line. Queries interleave with captures day by day,
-// so the reopen topology runs with the durable engine attached throughout
-// (every day's queries exercise the WAL-backed store) rather than reopening
-// mid-window; the final Seal still swaps to a resharded reopen before the
-// run ends, proving the window's state replays.
-func Fig12QueryHits(tp *Topo) *Result {
+// tracks the total query line. Queries interleave with captures day by day.
+func Fig12QueryHits() *Result {
 	res := &Result{
 		ID:    "fig12",
 		Title: "Query hit numbers over 14 days (exact hits; Mint also shown with partial hits)",
@@ -38,7 +34,7 @@ func Fig12QueryHits(tp *Topo) *Result {
 		baseline.NewOTTailOnFlag(abnormalFlag),
 		baseline.NewSieve(8, 256, 7),
 		baseline.NewHindsightOnFlag(abnormalFlag),
-		tp.NewMintFramework(sys.Nodes, mint.Config{BloomBufferBytes: 512}, 0),
+		newMint(sys.Nodes, mint.Config{BloomBufferBytes: 512}),
 	}
 	for _, fw := range fws {
 		fw.Warmup(warm)
@@ -102,11 +98,8 @@ func Fig12QueryHits(tp *Topo) *Result {
 		"sum", fmtI(totals[0]), fmtI(totals[1]), fmtI(totals[2]), fmtI(totals[3]),
 		fmtI(totals[4]), fmtI(totals[5]), fmtI(totals[6]),
 	})
-	// Seal the Mint deployment (on the reopen topology: close, replay the
-	// DataDir under a different shard count) and re-answer the final day's
-	// queries against the sealed store. The row must match d14's Mint columns
-	// on every topology — a replay divergence would surface here and fail the
-	// cross-topology parity gate.
+	// Seal the Mint deployment and re-answer the final day's queries against
+	// the sealed store: the row must match d14's Mint columns.
 	sealMint(fws)
 	mintFW := fws[len(fws)-1]
 	var sealedExact, sealedPartial int
@@ -122,9 +115,8 @@ func Fig12QueryHits(tp *Topo) *Result {
 	res.Rows = append(res.Rows, []string{
 		"d14*", fmtI(len(lastQueries)), "-", "-", "-", "-", fmtI(sealedExact), fmtI(sealedPartial),
 	})
-	closeMint(fws)
 	res.Notes = append(res.Notes,
 		"paper: Mint-Partial answers every query (tracks the Total line) and Mint-Exact exceeds all baselines",
-		"d14*: day-14 queries re-answered after Seal (reopen topology: resharded replay from the DataDir)")
+		"d14*: day-14 queries re-answered after Seal")
 	return res
 }

@@ -17,7 +17,7 @@ import (
 // rate. Ingress traffic is identical across replicas; egress measures the
 // tracing bandwidth increment; CPU measures the per-replica processing time
 // of the tracing path.
-func Fig14LoadTests(tp *Topo) *Result {
+func Fig14LoadTests() *Result {
 	res := &Result{
 		ID:    "fig14",
 		Title: "Tracing overhead during 14 load tests",
@@ -32,13 +32,13 @@ func Fig14LoadTests(tp *Topo) *Result {
 	// The three replicas run continuously across all 14 tests, exactly as
 	// the paper's 14:00–21:00 timeline does: Mint's pattern libraries are
 	// warm after T1 and only deltas flow afterwards.
-	mintFW := tp.NewMintFramework(sys.Nodes, mint.Config{
+	mintFW := newMint(sys.Nodes, mint.Config{
 		BloomBufferBytes: 512,
 		HeadSampleRate:   0.10,
 		// The replica comparison fixes the sampling rate at 10% for both
 		// tracers; the paradigm-native samplers stay out of this run.
 		DisableSamplers: true,
-	}, 0)
+	})
 	mintFW.Warmup(warm)
 
 	var totIngress, totOT, totMint float64
@@ -114,7 +114,7 @@ func hashSample(id string, rate float64) bool {
 // increase caused by tracing (the agent's on-path processing time per
 // request) and (b) the trace query latency distribution of Mint versus a
 // raw-trace store.
-func Fig15Latency(tp *Topo) *Result {
+func Fig15Latency() *Result {
 	res := &Result{
 		ID:     "fig15",
 		Title:  "Request-path overhead and query latency",
@@ -122,7 +122,7 @@ func Fig15Latency(tp *Topo) *Result {
 	}
 	sys := sim.AlibabaLike("prod15", 6, 10, 6006)
 	warm := sim.GenTraces(sys, 300)
-	mintFW := tp.NewMintFramework(sys.Nodes, mint.Config{BloomBufferBytes: 512}, 0)
+	mintFW := newMint(sys.Nodes, mint.Config{BloomBufferBytes: 512})
 	mintFW.Warmup(warm)
 
 	const n = 1500
@@ -170,8 +170,7 @@ func Fig15Latency(tp *Topo) *Result {
 	})
 
 	// (b) query latency: Mint's Bloom-scan + reconstruction vs a map-backed
-	// raw store. The capture phase is sealed first, so on the reopen topology
-	// these queries measure the replayed on-disk store.
+	// raw store, over the sealed capture phase.
 	mintFW.Seal()
 	rawStore := map[string]*trace.Trace{}
 	for _, t := range traffic {

@@ -17,7 +17,7 @@ import (
 // The paper reports 18.6–20.5 PB/day; we model daily request counts with
 // weekly seasonality over the measured per-trace size of the simulator's
 // e-commerce system and report the same series shape in TB.
-func Fig01DailyVolume(_ *Topo) *Result {
+func Fig01DailyVolume() *Result {
 	sys := sim.OnlineBoutique(1)
 	sample := sim.GenTraces(sys, 500)
 	var avg float64
@@ -65,7 +65,7 @@ func Fig01DailyVolume(_ *Topo) *Result {
 // Fig02ServiceOverhead reproduces Fig. 2: per-service storage overhead
 // (GB/day) and tracing bandwidth increment (MB/min) for the five services
 // with the largest trace volume, measured with full tracing (OT-Full).
-func Fig02ServiceOverhead(_ *Topo) *Result {
+func Fig02ServiceOverhead() *Result {
 	type profile struct {
 		name   string
 		reqMin float64 // requests per minute (production scale)
@@ -116,7 +116,7 @@ func Fig02ServiceOverhead(_ *Topo) *Result {
 // regions over 30 days when the deployment combines OpenTelemetry head
 // sampling (5%) with tail sampling on tagged anomalies — the study that
 // found a 27.17% average miss rate.
-func Fig03MissRate(_ *Topo) *Result {
+func Fig03MissRate() *Result {
 	res := &Result{
 		ID:     "fig3",
 		Title:  "Query miss rate per day under head+tail sampling, 2 regions, 30 days",

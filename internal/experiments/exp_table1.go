@@ -15,7 +15,7 @@ import (
 // three services. Two traces (spans) form a pair with commonality when they
 // share a pattern; occurrence counts those pairs and proportion divides by
 // the total number of pairs.
-func Table1Commonality(_ *Topo) *Result {
+func Table1Commonality() *Result {
 	type svcSpec struct {
 		name   string
 		apis   int

@@ -13,7 +13,7 @@ import (
 // accuracy of three trace-based RCA methods over the traces each tracing
 // framework retains, on OnlineBoutique and TrainTicket, across 56 injected
 // faults (28 per benchmark, round-robin over the five fault types).
-func Table3RCA(tp *Topo) *Result {
+func Table3RCA() *Result {
 	res := &Result{
 		ID:     "tab3",
 		Title:  "RCA top-1 accuracy (A@1) per tracing framework",
@@ -48,7 +48,7 @@ func Table3RCA(tp *Topo) *Result {
 				baseline.NewOTTailOnFlag(abnormalFlag),
 				baseline.NewSieve(8, 256, 11),
 				baseline.NewHindsightOnFlag(abnormalFlag),
-				tp.NewMintFramework(sys.Nodes, mint.Config{BloomBufferBytes: 512}, 0),
+				newMint(sys.Nodes, mint.Config{BloomBufferBytes: 512}),
 			}
 			for _, fw := range fws {
 				fw.Warmup(warm)
@@ -81,7 +81,6 @@ func Table3RCA(tp *Topo) *Result {
 					}
 				}
 			}
-			closeMint(fws) // release this fault's loopback server / DataDir
 		}
 		for mi, m := range methods {
 			row := []string{bm.name, m.Name()}

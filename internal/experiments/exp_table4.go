@@ -36,7 +36,7 @@ func table4Corpus(spec sim.DatasetSpec, seed int64) []*trace.Trace {
 // Table4Compression reproduces Table 4: compression ratio of the three
 // log-specific compressors, Mint's two ablations, and full Mint on the six
 // Alibaba-like datasets of Fig. 13.
-func Table4Compression(_ *Topo) *Result {
+func Table4Compression() *Result {
 	res := &Result{
 		ID:     "tab4",
 		Title:  "Compression ratio (raw bytes / queryable compressed bytes)",
@@ -59,7 +59,7 @@ func Table4Compression(_ *Topo) *Result {
 
 // Fig13DatasetInfo reproduces Fig. 13(b): the basic information of the six
 // datasets, with the average call depth measured from the generated corpus.
-func Fig13DatasetInfo(_ *Topo) *Result {
+func Fig13DatasetInfo() *Result {
 	res := &Result{
 		ID:     "fig13",
 		Title:  "Dataset descriptions (Fig. 13b)",

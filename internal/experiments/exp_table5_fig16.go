@@ -13,7 +13,7 @@ import (
 // Table5PatternCounts reproduces Table 5: the number of span-level and
 // trace-level patterns the Span Parser and Trace Parser extract from an
 // hour of raw traces on five Alibaba Cloud sub-services.
-func Table5PatternCounts(_ *Topo) *Result {
+func Table5PatternCounts() *Result {
 	res := &Result{
 		ID:     "tab5",
 		Title:  "Pattern extraction results of Span Parser and Trace Parser",
@@ -58,7 +58,7 @@ func Table5PatternCounts(_ *Topo) *Result {
 // Fig16Sensitivity reproduces Fig. 16: total storage size of patterns plus
 // parameters (no sampling, no Bloom filters) as the Span Parser's
 // similarity threshold sweeps 0.2–0.8 on two datasets and two sub-services.
-func Fig16Sensitivity(_ *Topo) *Result {
+func Fig16Sensitivity() *Result {
 	res := &Result{
 		ID:     "fig16",
 		Title:  "Pattern+parameter storage (MB) vs similarity threshold",

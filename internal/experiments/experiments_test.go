@@ -16,7 +16,6 @@ func TestRegistryComplete(t *testing.T) {
 		t.Fatalf("registry lists %d experiments, want 16 (every paper table and figure plus 3 ablations)", len(all))
 	}
 	seen := map[string]bool{}
-	clustered := 0
 	for _, e := range all {
 		if seen[e.ID] {
 			t.Fatalf("duplicate experiment ID %s", e.ID)
@@ -25,39 +24,12 @@ func TestRegistryComplete(t *testing.T) {
 		if e.Run == nil || e.Title == "" {
 			t.Fatalf("experiment %s incomplete", e.ID)
 		}
-		if e.Cluster {
-			clustered++
-		}
-	}
-	if clustered != 8 {
-		t.Fatalf("%d cluster-backed experiments, want 8 (fig11 fig12 tab3 fig14 fig15 abl-*)", clustered)
-	}
-	for _, id := range []string{"fig11", "fig12", "tab3", "fig14", "fig15", "abl-bloom", "abl-params", "abl-hap"} {
-		e, ok := Lookup(id)
-		if !ok || !e.Cluster {
-			t.Fatalf("%s must be registered as a cluster experiment", id)
-		}
 	}
 	if _, ok := Lookup("nope"); ok {
 		t.Fatal("lookup should miss unknown IDs")
 	}
 	if len(IDs()) != 16 {
 		t.Fatal("IDs()")
-	}
-}
-
-func TestTopoKindRoundTrip(t *testing.T) {
-	if len(AllTopologies()) != 3 {
-		t.Fatal("three topologies")
-	}
-	for _, k := range AllTopologies() {
-		got, ok := ParseTopo(k.String())
-		if !ok || got != k {
-			t.Fatalf("ParseTopo(%q) = %v, %v", k.String(), got, ok)
-		}
-	}
-	if _, ok := ParseTopo("serial"); ok {
-		t.Fatal("ParseTopo must reject unknown names")
 	}
 }
 
@@ -107,10 +79,8 @@ func TestRenderStableMasksVolatileCols(t *testing.T) {
 }
 
 func TestMintFrameworkAdapter(t *testing.T) {
-	tp := NewTopo(TopoInProc)
-	defer tp.Close()
 	sys := sim.OnlineBoutique(55)
-	fw := tp.NewMintFramework(sys.Nodes, mint.Config{BloomBufferBytes: 512}, 0)
+	fw := newMint(sys.Nodes, mint.Config{BloomBufferBytes: 512})
 	fw.Warmup(sim.GenTraces(sys, 100))
 	traffic := sim.GenTraces(sys, 200)
 	for _, tr := range traffic {
@@ -146,54 +116,9 @@ func TestMintFrameworkPeriodicFlush(t *testing.T) {
 	}
 }
 
-// TestSealReopenAccounting pins the Seal contract on the reopen topology:
-// the network meter and eviction counters freeze at their pre-reopen values
-// (the writing agents are gone), queries answer from the replayed store, and
-// the reopened cluster runs the resharded count.
-func TestSealReopenAccounting(t *testing.T) {
-	tp := NewTopo(TopoReopen)
-	defer tp.Close()
-	sys := sim.OnlineBoutique(57)
-	fw := tp.NewMintFramework(sys.Nodes, mint.Config{BloomBufferBytes: 512}, 0)
-	fw.Warmup(sim.GenTraces(sys, 100))
-	traffic := sim.GenTraces(sys, 150)
-	for _, tr := range traffic {
-		fw.Capture(tr)
-	}
-	fw.Flush()
-	preNet := fw.NetworkBytes()
-	if preNet <= 0 {
-		t.Fatal("capture phase must meter network bytes")
-	}
-	if got := fw.Cluster().Shards(); got != reopenWriteShards {
-		t.Fatalf("write phase shards = %d, want %d", got, reopenWriteShards)
-	}
-	fw.Seal()
-	if got := fw.Cluster().Shards(); got != reopenReopenShards {
-		t.Fatalf("reopened shards = %d, want %d", got, reopenReopenShards)
-	}
-	if fw.NetworkBytes() != preNet {
-		t.Fatalf("Seal must snapshot the meter: %d != %d", fw.NetworkBytes(), preNet)
-	}
-	fw.Seal() // idempotent
-	if fw.NetworkBytes() != preNet {
-		t.Fatal("second Seal changed the snapshot")
-	}
-	if fw.StorageBytes() <= 0 {
-		t.Fatal("replayed store is empty")
-	}
-	for _, tr := range traffic[:20] {
-		if fw.Query(tr.TraceID).Kind == backend.Miss {
-			t.Fatalf("trace %s lost across the reopen", tr.TraceID)
-		}
-	}
-}
-
 func TestCaptureAfterSealPanics(t *testing.T) {
-	tp := NewTopo(TopoInProc)
-	defer tp.Close()
 	sys := sim.OnlineBoutique(58)
-	fw := tp.NewMintFramework(sys.Nodes, mint.Config{BloomBufferBytes: 512}, 0)
+	fw := newMint(sys.Nodes, mint.Config{BloomBufferBytes: 512})
 	traffic := sim.GenTraces(sys, 5)
 	for _, tr := range traffic[:4] {
 		fw.Capture(tr)
@@ -208,8 +133,8 @@ func TestCaptureAfterSealPanics(t *testing.T) {
 }
 
 func TestFig01Fig02Fig13Light(t *testing.T) {
-	for _, run := range []func(*Topo) *Result{Fig01DailyVolume, Fig02ServiceOverhead, Fig13DatasetInfo} {
-		res := run(nil) // non-cluster drivers ignore the topology
+	for _, run := range []func() *Result{Fig01DailyVolume, Fig02ServiceOverhead, Fig13DatasetInfo} {
+		res := run()
 		if len(res.Rows) == 0 {
 			t.Fatalf("%s produced no rows", res.ID)
 		}
@@ -217,7 +142,7 @@ func TestFig01Fig02Fig13Light(t *testing.T) {
 }
 
 func TestFig16SensitivityMonotonicTendency(t *testing.T) {
-	res := Fig16Sensitivity(nil)
+	res := Fig16Sensitivity()
 	if len(res.Rows) != 4 {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}

@@ -12,9 +12,8 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata golden fi
 
 // TestGoldenStableRender pins two figures' stable renders byte-for-byte
 // against committed text: fig13 (an experiment that never touches a cluster)
-// and abl-hap (a cluster experiment, on the in-process topology). The parity
-// tests only compare topologies with each other; this is the check that a
-// figure still regenerates the same numbers run over run. A failing diff
+// and abl-hap (a cluster experiment). This is the check that a figure still
+// regenerates the same numbers run over run. A failing diff
 // means either an intended figure change (regenerate with -update-golden,
 // review the diff) or a determinism regression (investigate before touching
 // the golden).
@@ -25,7 +24,7 @@ func TestGoldenStableRender(t *testing.T) {
 		if !ok {
 			t.Fatalf("golden subset lists unknown experiment %s", id)
 		}
-		got += RunOn(e, TopoInProc).RenderStable()
+		got += e.Run().RenderStable()
 	}
 
 	goldenPath := filepath.Join("testdata", "stable_render.golden.txt")

@@ -18,12 +18,12 @@ func fmtF(v float64, prec int) string { return fmt.Sprintf("%.*f", prec, v) }
 func fmtI(v int) string { return fmt.Sprintf("%d", v) }
 
 // volatileMask replaces wall-clock cells in stable renders: timings vary
-// run to run and topology to topology, everything else must not.
+// run to run, everything else must not.
 const volatileMask = "(timing)"
 
 // MarkVolatileCols marks whole columns as wall-clock measurements. Stable
 // renders mask them, so the deterministic remainder of the figure stays
-// byte-comparable across topologies and runs.
+// byte-comparable across runs.
 func (r *Result) MarkVolatileCols(cols ...int) {
 	if r.volatileCols == nil {
 		r.volatileCols = map[int]bool{}
@@ -55,9 +55,8 @@ func (r *Result) StableRows() [][]string {
 func (r *Result) Render() string { return r.render(r.Rows) }
 
 // RenderStable pretty-prints the Result with volatile (wall-clock) cells
-// masked: two topologies — or two runs — regenerating the same figure must
-// produce byte-identical stable renders. This is what the parity tests, the
-// render golden and mintexp -parity compare.
+// masked: two runs regenerating the same figure must produce byte-identical
+// stable renders. This is what the render golden compares.
 func (r *Result) RenderStable() string { return r.render(r.StableRows()) }
 
 func (r *Result) render(rows [][]string) string {

@@ -13,8 +13,6 @@ package mint_test
 
 import (
 	"errors"
-	"fmt"
-	"strings"
 	"sync"
 	"testing"
 
@@ -36,30 +34,9 @@ func markEveryTenth(cluster *mint.Cluster, traces []*mint.Trace) {
 	}
 }
 
-// queryRenders runs every trace ID through the cluster and renders each
-// result — kind plus the full reconstructed span list (IDs, parents,
-// service/operation, status, duration) — so parity checks catch ordering or
-// stitching divergence, not just hit-kind agreement.
-func queryRenders(cluster *mint.Cluster, traces []*mint.Trace) []string {
-	out := make([]string, len(traces))
-	for i, tr := range traces {
-		res := cluster.Query(tr.TraceID)
-		var b strings.Builder
-		b.WriteString(res.Kind.String())
-		if res.Trace != nil {
-			for _, s := range res.Trace.Spans {
-				fmt.Fprintf(&b, "|%s<-%s %s/%s st=%d dur=%d",
-					s.SpanID, s.ParentID, s.Service, s.Operation, s.Status, s.Duration)
-			}
-		}
-		out[i] = b.String()
-	}
-	return out
-}
-
 // serialReference captures the workload one trace at a time on a
 // single-shard synchronous cluster — the seed behavior all modes must match.
-func serialReference(warm, traces []*mint.Trace) (*mint.Cluster, []string) {
+func serialReference(warm, traces []*mint.Trace) *mint.Cluster {
 	sys := sim.OnlineBoutique(42)
 	cluster := mint.NewCluster(sys.Nodes, parityConfig())
 	cluster.Warmup(warm)
@@ -68,16 +45,22 @@ func serialReference(warm, traces []*mint.Trace) (*mint.Cluster, []string) {
 	}
 	markEveryTenth(cluster, traces)
 	cluster.Flush()
-	return cluster, queryRenders(cluster, traces)
+	return cluster
+}
+
+func traceIDs(traces []*mint.Trace) []string {
+	ids := make([]string, len(traces))
+	for i, tr := range traces {
+		ids[i] = tr.TraceID
+	}
+	return ids
 }
 
 func TestConcurrentCaptureMatchesSerial(t *testing.T) {
 	sys := sim.OnlineBoutique(42)
 	warm := sim.GenTraces(sys, 200)
 	traces := sim.GenTraces(sys, 800)
-	serial, wantRenders := serialReference(warm, traces)
-	wantStorage := serial.StorageBytes()
-	wantNetwork := serial.NetworkBytes()
+	serial := serialReference(warm, traces)
 
 	// Same workload, many goroutines calling the synchronous Capture on a
 	// sharded backend. The stores are content-addressed, so ingestion order
@@ -105,18 +88,9 @@ func TestConcurrentCaptureMatchesSerial(t *testing.T) {
 	if got := sharded.Shards(); got != 8 {
 		t.Fatalf("Shards() = %d, want 8", got)
 	}
-	gotRenders := queryRenders(sharded, traces)
-	for i := range wantRenders {
-		if gotRenders[i] != wantRenders[i] {
-			t.Fatalf("trace %d (%s): concurrent result %q, serial %q",
-				i, traces[i].TraceID, gotRenders[i], wantRenders[i])
-		}
-	}
-	if got := sharded.StorageBytes(); got != wantStorage {
-		t.Errorf("concurrent storage = %d, serial = %d", got, wantStorage)
-	}
-	if got := sharded.NetworkBytes(); got != wantNetwork {
-		t.Errorf("concurrent network = %d, serial = %d", got, wantNetwork)
+	assertSameAnswers(t, "concurrent", serial, sharded, traceIDs(traces))
+	if got, want := sharded.NetworkBytes(), serial.NetworkBytes(); got != want {
+		t.Errorf("concurrent network = %d, serial = %d", got, want)
 	}
 }
 
@@ -124,8 +98,7 @@ func TestCaptureAsyncMatchesSerial(t *testing.T) {
 	sys := sim.OnlineBoutique(42)
 	warm := sim.GenTraces(sys, 200)
 	traces := sim.GenTraces(sys, 800)
-	serial, wantRenders := serialReference(warm, traces)
-	wantStorage := serial.StorageBytes()
+	serial := serialReference(warm, traces)
 	wantNetwork := serial.NetworkBytes()
 
 	cfg := parityConfig()
@@ -141,19 +114,10 @@ func TestCaptureAsyncMatchesSerial(t *testing.T) {
 	markEveryTenth(async, traces)
 	async.Flush() // deliver the marks' params reports before reading back
 
-	gotRenders := queryRenders(async, traces)
-	for i := range wantRenders {
-		if gotRenders[i] != wantRenders[i] {
-			t.Fatalf("trace %d (%s): async result %q, serial %q",
-				i, traces[i].TraceID, gotRenders[i], wantRenders[i])
-		}
-	}
 	// Storage is payload-only and must match exactly; the network total
 	// differs only by the batching envelope, which amortizes per-message
 	// framing and so can only shrink it.
-	if got := async.StorageBytes(); got != wantStorage {
-		t.Errorf("async storage = %d, serial = %d", got, wantStorage)
-	}
+	assertSameAnswers(t, "async", serial, async, traceIDs(traces))
 	gotNetwork := async.NetworkBytes()
 	if err := async.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -164,6 +128,68 @@ func TestCaptureAsyncMatchesSerial(t *testing.T) {
 	if gotNetwork < wantNetwork*9/10 {
 		t.Errorf("async network = %d implausibly far below serial %d", gotNetwork, wantNetwork)
 	}
+}
+
+// TestInternParitySerialShardedReopened: the backend keys its pattern
+// stores by interned uint32 handles, and handle assignment order differs
+// between a serial cluster (capture order), a sharded cluster fed from many
+// goroutines (racing intern order), and a cluster reopened from disk under
+// another shard count (snapshot/WAL replay order). None of that may leak
+// into answers: every read path must be byte-identical across all three.
+func TestInternParitySerialShardedReopened(t *testing.T) {
+	sys := sim.OnlineBoutique(7)
+	warm := sim.GenTraces(sys, 200)
+	traces := sim.GenTraces(sys, 400)
+	ids := traceIDs(traces)
+
+	serial := serialReference(warm, traces)
+	defer serial.Close()
+
+	sharded := mint.NewCluster(sys.Nodes, mint.Config{Shards: 8, DisableSamplers: true})
+	sharded.Warmup(warm)
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < len(traces); i += 4 {
+				sharded.Capture(traces[i])
+			}
+		}(w)
+	}
+	wg.Wait()
+	markEveryTenth(sharded, traces)
+	sharded.Flush()
+	defer sharded.Close()
+	assertSameAnswers(t, "sharded", serial, sharded, ids)
+
+	// Write with 8 shards, reopen with 3: replay re-interns every pattern in
+	// snapshot order into a fresh dictionary.
+	dir := t.TempDir()
+	persisted, err := mint.Open(sys.Nodes, mint.Config{
+		Shards:          8,
+		IngestWorkers:   4,
+		DisableSamplers: true,
+		DataDir:         dir,
+	})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	persisted.Warmup(warm)
+	for _, tr := range traces {
+		persisted.CaptureAsync(tr)
+	}
+	persisted.Flush()
+	markEveryTenth(persisted, traces)
+	if err := persisted.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	reopened, err := mint.Open(sys.Nodes, mint.Config{Shards: 3, DisableSamplers: true, DataDir: dir})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer reopened.Close()
+	assertSameAnswers(t, "reopened", serial, reopened, ids)
 }
 
 // TestAsyncPipelineWithSamplers drives the full pipeline — samplers on,

@@ -25,6 +25,9 @@ func TestOpenRejectsInvalidConfig(t *testing.T) {
 		{"negative retention", mint.Config{DataDir: "x", RetentionTTL: -time.Hour}, "RetentionTTL"},
 		{"retention without data dir", mint.Config{RetentionTTL: time.Hour}, "RetentionTTL"},
 		{"snapshot threshold without data dir", mint.Config{SnapshotEveryBytes: 1 << 20}, "SnapshotEveryBytes"},
+		{"alpha outside (0, 1)", mint.Config{Alpha: -1}, "Alpha"},
+		{"bloom fpp of 1 or more", mint.Config{BloomFPP: 1.5}, "BloomFPP"},
+		{"bloom buffer above the filter bound", mint.Config{BloomBufferBytes: 1 << 30}, "BloomBufferBytes"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -41,12 +44,14 @@ func TestOpenRejectsInvalidConfig(t *testing.T) {
 
 func TestOpenAcceptsDocumentedSentinels(t *testing.T) {
 	// Zero values and the documented -1 QueryWorkers (serial) sentinel stay
-	// valid; Shards 0 means the single-shard default.
+	// valid; Shards 0 means the single-shard default, and a non-positive
+	// BloomFPP or BloomBufferBytes takes the Bloom default.
 	cases := []mint.Config{
 		{},
 		{Shards: 0, IngestWorkers: 0, QueryWorkers: 0},
 		{QueryWorkers: -1, QueryCacheSize: -1},
 		{Shards: 8, IngestWorkers: 2},
+		{Alpha: 0.9, BloomFPP: -1, BloomBufferBytes: -1},
 	}
 	for _, cfg := range cases {
 		c, err := mint.Open([]string{"n1"}, cfg)

@@ -158,12 +158,7 @@ func TestOTLPEndpointMatchesDirectCapture(t *testing.T) {
 	for i, tr := range traces {
 		ids[i] = tr.TraceID
 	}
-	want, got := renderQueries(direct, ids), renderQueries(viaHTTP, ids)
-	for i := range want {
-		if want[i] != got[i] {
-			t.Fatalf("trace %s diverged:\ndirect:\n%s\nvia HTTP:\n%s", ids[i], want[i], got[i])
-		}
-	}
+	assertSameAnswers(t, "via HTTP", direct, viaHTTP, ids)
 }
 
 // TestOTLPEndpointErrors pins the endpoint's failure responses and the ops

@@ -99,7 +99,7 @@
 // their reports ship over a binary TCP protocol, and queries are answered
 // by the server — the paper's per-host-agents / central-backend topology.
 // The returned Cluster behaves identically to an in-process one (the
-// loopback parity tests pin this byte-for-byte):
+// parity oracle pins this byte-for-byte):
 //
 //	cluster, err := mint.Dial("backend:9911", nodes, mint.Defaults())
 //	cluster.Warmup(warmupTraces)
@@ -424,16 +424,23 @@ func Dial(addr string, nodes []string, cfg Config) (*Cluster, error) {
 	return assemble(nodes, cfg, nil, cli), nil
 }
 
+// testHookStore, when set, wraps the store of every Cluster assembled; the
+// parity oracle sets it (export_test.go) to tee reports into a reference.
+var testHookStore func(store) store
+
 // assemble builds a Cluster over either a local backend or a remote
 // transport — everything above the store (agents, collectors, reporters,
 // the ingest worker pool) is identical in both deployments, which is what
-// keeps loopback parity byte-exact.
+// keeps remote answers byte-identical to local ones.
 func assemble(nodes []string, cfg Config, b *backend.Backend, cli *rpc.Client) *Cluster {
 	var st store
 	if cli != nil {
 		st = cli
 	} else {
 		st = b
+	}
+	if testHookStore != nil {
+		st = testHookStore(st)
 	}
 	m := wire.NewMeter()
 	c := &Cluster{

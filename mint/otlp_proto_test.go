@@ -17,7 +17,6 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -104,34 +103,6 @@ func postPayload(t *testing.T, url, contentType, node string, payload []byte) {
 	}
 }
 
-// assertIngestParity compares every read path of two clusters byte-for-
-// byte: Query renders, BatchAnalyze, FindTraces and pattern accounting.
-func assertIngestParity(t *testing.T, label string, want, got *mint.Cluster, ids []string) {
-	t.Helper()
-	if w, g := want.SpanPatternCount(), got.SpanPatternCount(); w != g {
-		t.Fatalf("%s: span patterns %d vs %d", label, w, g)
-	}
-	if w, g := want.TopoPatternCount(), got.TopoPatternCount(); w != g {
-		t.Fatalf("%s: topo patterns %d vs %d", label, w, g)
-	}
-	wq, gq := renderQueries(want, ids), renderQueries(got, ids)
-	for i := range wq {
-		if wq[i] != gq[i] {
-			t.Fatalf("%s: trace %s diverged:\nwant:\n%s\ngot:\n%s", label, ids[i], wq[i], gq[i])
-		}
-	}
-	wantStats, wantMiss := want.BatchAnalyze(ids)
-	gotStats, gotMiss := got.BatchAnalyze(ids)
-	if wantMiss != gotMiss || !reflect.DeepEqual(wantStats, gotStats) {
-		t.Fatalf("%s: BatchAnalyze diverged", label)
-	}
-	for _, f := range recoveryFilters(ids) {
-		if w, g := want.FindTraces(f), got.FindTraces(f); !reflect.DeepEqual(w, g) {
-			t.Fatalf("%s: FindTraces(%+v) diverged:\nwant: %v\ngot:  %v", label, f, w, g)
-		}
-	}
-}
-
 // TestOTLPProtoEndpointParity is the tentpole acceptance test: the recorded
 // payloads POSTed as protobuf must leave the backend byte-identical to the
 // same payloads POSTed as JSON and to direct Capture of the decoded traces
@@ -170,8 +141,8 @@ func TestOTLPProtoEndpointParity(t *testing.T) {
 	for i, tr := range traces {
 		ids[i] = tr.TraceID
 	}
-	assertIngestParity(t, "proto vs direct", direct, viaProto, ids)
-	assertIngestParity(t, "proto vs json", viaJSON, viaProto, ids)
+	assertSameAnswers(t, "proto vs direct", direct, viaProto, ids)
+	assertSameAnswers(t, "proto vs json", viaJSON, viaProto, ids)
 }
 
 // TestOTLPProtoRemoteCapture wires CaptureOTLPProto through a dialed
@@ -207,10 +178,7 @@ func TestOTLPProtoRemoteCapture(t *testing.T) {
 	for _, tr := range decodedTraces(t) {
 		ids = append(ids, tr.TraceID)
 	}
-	assertIngestParity(t, "remote vs local", local, remote, ids)
-	if err := remote.Err(); err != nil {
-		t.Fatalf("remote transport error: %v", err)
-	}
+	assertSameAnswers(t, "remote vs local", local, remote, ids)
 }
 
 // gzipBytes compresses b.
@@ -409,7 +377,7 @@ func TestOTLPGRPCExport(t *testing.T) {
 	for _, tr := range decodedTraces(t) {
 		ids = append(ids, tr.TraceID)
 	}
-	assertIngestParity(t, "grpc vs post", viaPost, viaGRPC, ids)
+	assertSameAnswers(t, "grpc vs post", viaPost, viaGRPC, ids)
 
 	t.Run("compressed flag is unimplemented", func(t *testing.T) {
 		frame := grpcFrame([]byte{})

@@ -1,17 +1,16 @@
 package mint_test
 
-// Crash-recovery tests for the durable storage engine: a cluster reopened
-// from a DataDir must answer Query/BatchAnalyze/FindTraces byte-identically
-// to the cluster that wrote it, whether it was closed cleanly or abandoned
-// after a Flush (the simulated crash). Run with -race: captures fan out
+// Durable storage engine tests at the public-API level: crash recovery,
+// close-is-flush, retention and open errors. A cluster reopened from a
+// DataDir must answer every read path byte-identically to the cluster that
+// wrote it, whether it was closed cleanly or abandoned after a Flush (the
+// simulated crash); the parity oracle's durable row (oracle_test.go) runs
+// the same check over seeded histories. Run with -race: captures fan out
 // over the ingest worker pool while the WAL appends under shard locks.
 
 import (
-	"fmt"
 	"os"
 	"path/filepath"
-	"reflect"
-	"strings"
 	"testing"
 	"time"
 
@@ -23,23 +22,8 @@ func writeFile(path, body string) error {
 	return os.WriteFile(path, []byte(body), 0o644)
 }
 
-// renderQueries renders every query result fully — kind, sampling reason,
-// and the canonical serialization of the reconstructed trace — so parity is
-// byte-level, not just hit-kind agreement.
-func renderQueries(cluster *mint.Cluster, ids []string) []string {
-	out := make([]string, len(ids))
-	for i, id := range ids {
-		res := cluster.Query(id)
-		var b strings.Builder
-		fmt.Fprintf(&b, "%s reason=%q\n", res.Kind, res.Reason)
-		if res.Trace != nil {
-			b.WriteString(res.Trace.Serialize())
-		}
-		out[i] = b.String()
-	}
-	return out
-}
-
+// captureWorkload writes 500 traces through the async ingest pool of a
+// durable 4-shard cluster and flushes the WAL durable.
 func captureWorkload(t *testing.T, dir string) (*mint.Cluster, []string) {
 	t.Helper()
 	sys := sim.OnlineBoutique(21)
@@ -53,85 +37,18 @@ func captureWorkload(t *testing.T, dir string) (*mint.Cluster, []string) {
 	}
 	cluster.Warmup(sim.GenTraces(sys, 200))
 	traces := sim.GenTraces(sys, 500)
-	ids := make([]string, len(traces))
-	for i, tr := range traces {
-		ids[i] = tr.TraceID
+	for _, tr := range traces {
 		cluster.CaptureAsync(tr)
 	}
 	cluster.Flush()
-	return cluster, ids
-}
-
-// recoveryFilters are the predicate searches the parity assertions replay.
-func recoveryFilters(ids []string) []mint.Filter {
-	return []mint.Filter{
-		{Service: "checkout", Candidates: ids},
-		{ErrorsOnly: true, Candidates: ids},
-		{MinDurationUS: 50_000, Candidates: ids, Limit: 50},
-		{SampledOnly: true},
-	}
-}
-
-// readsSnapshot captures everything the three read paths of the acceptance
-// criteria answer — Query renders, BatchAnalyze, FindTraces — plus storage
-// accounting. Snapshots are taken from a cluster while it is open (a closed
-// cluster answers nothing) and compared after reopen.
-type readsSnapshot struct {
-	renders []string
-	stats   *mint.BatchStats
-	miss    int
-	finds   [][]mint.FoundTrace
-	storage int64
-}
-
-// snapshotReads renders every read path of an open cluster.
-func snapshotReads(c *mint.Cluster, ids []string) readsSnapshot {
-	snap := readsSnapshot{renders: renderQueries(c, ids)}
-	snap.stats, snap.miss = c.BatchAnalyze(ids)
-	for _, f := range recoveryFilters(ids) {
-		snap.finds = append(snap.finds, c.FindTraces(f))
-	}
-	snap.storage = c.StorageBytes()
-	return snap
-}
-
-// assertRecoveryParity compares a pre-recorded snapshot of the writing
-// cluster against one reopened from the same DataDir across all three read
-// paths the acceptance criteria name: Query, BatchQuery (via BatchAnalyze)
-// and FindTraces.
-func assertRecoveryParity(t *testing.T, want readsSnapshot, reopened *mint.Cluster, ids []string) {
-	t.Helper()
-	gotRenders := renderQueries(reopened, ids)
-	for i := range want.renders {
-		if gotRenders[i] != want.renders[i] {
-			t.Fatalf("trace %s diverged after reopen:\nlive:\n%s\nreopened:\n%s",
-				ids[i], want.renders[i], gotRenders[i])
-		}
-	}
-
-	gotStats, gotMiss := reopened.BatchAnalyze(ids)
-	if want.miss != gotMiss || !reflect.DeepEqual(want.stats, gotStats) {
-		t.Fatalf("BatchAnalyze diverged after reopen: live (%+v, %d) vs reopened (%+v, %d)",
-			want.stats, want.miss, gotStats, gotMiss)
-	}
-
-	for i, f := range recoveryFilters(ids) {
-		got := reopened.FindTraces(f)
-		if !reflect.DeepEqual(want.finds[i], got) {
-			t.Fatalf("FindTraces(%+v) diverged after reopen:\nlive: %v\nreopened: %v", f, want.finds[i], got)
-		}
-	}
-
-	if g := reopened.StorageBytes(); want.storage != g {
-		t.Fatalf("storage bytes diverged after reopen: live %d, reopened %d", want.storage, g)
-	}
+	return cluster, traceIDs(traces)
 }
 
 func TestCrashRecoveryParityAfterClose(t *testing.T) {
 	dir := t.TempDir()
 	live, ids := captureWorkload(t, dir)
-	// Snapshot the reads before Close — a closed cluster answers nothing.
-	want := snapshotReads(live, ids)
+	// Read before Close — a closed cluster answers nothing.
+	want := readAnswers(live, ids)
 	if err := live.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -140,7 +57,9 @@ func TestCrashRecoveryParityAfterClose(t *testing.T) {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer reopened.Close()
-	assertRecoveryParity(t, want, reopened, ids)
+	if d := want.diff(readAnswers(reopened, ids), ids, true); d != "" {
+		t.Fatalf("diverged after Close and reopen: %s", d)
+	}
 }
 
 func TestCrashRecoveryParityAfterFlushOnly(t *testing.T) {
@@ -149,13 +68,15 @@ func TestCrashRecoveryParityAfterFlushOnly(t *testing.T) {
 	// abandoned without Close. Reopen with a different shard count for good
 	// measure — the data directory is layout-independent.
 	live, ids := captureWorkload(t, dir)
-	want := snapshotReads(live, ids)
+	want := readAnswers(live, ids)
 	reopened, err := mint.Open(live.Nodes(), mint.Config{Shards: 2, DataDir: dir})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer reopened.Close()
-	assertRecoveryParity(t, want, reopened, ids)
+	if d := want.diff(readAnswers(reopened, ids), ids, true); d != "" {
+		t.Fatalf("diverged after crash and resharded reopen: %s", d)
+	}
 }
 
 // TestCloseFlushesPendingAsyncBatches is the regression test for
@@ -192,11 +113,8 @@ func TestCloseFlushesPendingAsyncBatches(t *testing.T) {
 	}
 	// The persisted state must also be stable across a second close/reopen
 	// cycle: close-is-flush leaves nothing behind that a reopen would lose.
-	ids := make([]string, len(traces))
-	for i, tr := range traces {
-		ids[i] = tr.TraceID
-	}
-	want := snapshotReads(reopened, ids)
+	ids := traceIDs(traces)
+	want := readAnswers(reopened, ids) // a closed cluster answers nothing
 	if err := reopened.Close(); err != nil {
 		t.Fatalf("close reopened: %v", err)
 	}
@@ -205,7 +123,9 @@ func TestCloseFlushesPendingAsyncBatches(t *testing.T) {
 		t.Fatalf("second reopen: %v", err)
 	}
 	defer again.Close()
-	assertRecoveryParity(t, want, again, ids)
+	if d := want.diff(readAnswers(again, ids), ids, true); d != "" {
+		t.Fatalf("answers changed across the second reopen: %s", d)
+	}
 }
 
 func TestRetentionTTLDropsOldTraces(t *testing.T) {

@@ -35,7 +35,6 @@ func TestQueryManyMatchesQuery(t *testing.T) {
 	for i, tr := range traces {
 		ids[i] = tr.TraceID
 	}
-	want := queryRenders(uncached, traces)
 	results := pooled.QueryMany(ids)
 	if len(results) != len(ids) {
 		t.Fatalf("positional results: got %d want %d", len(results), len(ids))
@@ -49,15 +48,15 @@ func TestQueryManyMatchesQuery(t *testing.T) {
 		}
 		serial := uncached.Query(ids[i])
 		if res.Kind != serial.Kind || len(res.Trace.Spans) != len(serial.Trace.Spans) {
-			t.Fatalf("QueryMany[%d] = %s/%d spans, serial = %s/%d spans (want %s)",
-				i, res.Kind, len(res.Trace.Spans), serial.Kind, len(serial.Trace.Spans), want[i])
+			t.Fatalf("QueryMany[%d] = %s/%d spans, serial = %s/%d spans",
+				i, res.Kind, len(res.Trace.Spans), serial.Kind, len(serial.Trace.Spans))
 		}
 	}
 }
 
-// TestCachedClusterParity: a cluster with the query cache enabled renders
-// every query byte-identically to an uncached cluster fed the same captures,
-// cold and warm.
+// TestCachedClusterParity: a cluster with the query cache enabled answers
+// every read path byte-identically to an uncached cluster fed the same
+// captures, cold and warm.
 func TestCachedClusterParity(t *testing.T) {
 	sys := sim.OnlineBoutique(42)
 	warm := sim.GenTraces(sys, 200)
@@ -74,15 +73,9 @@ func TestCachedClusterParity(t *testing.T) {
 		c.Flush()
 	}
 
-	want := queryRenders(uncached, traces)
-	for pass := 0; pass < 2; pass++ {
-		got := queryRenders(cached, traces)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("pass %d trace %d diverged:\ncached:   %s\nuncached: %s",
-					pass, i, got[i], want[i])
-			}
-		}
+	ids := traceIDs(traces)
+	for _, pass := range []string{"cold", "warm"} {
+		assertSameAnswers(t, pass, uncached, cached, ids)
 	}
 }
 
@@ -167,7 +160,7 @@ func TestConcurrentQueryCaptureCached(t *testing.T) {
 	// Drain the pipeline, then render before Close: a closed cluster
 	// answers nothing (ErrClosed).
 	cluster.Flush()
-	got := queryRenders(cluster, traces)
+	got := readAnswers(cluster, ids)
 	cluster.Close()
 
 	ref := mint.NewCluster(sys.Nodes, mint.Config{DisableSamplers: true, QueryCacheSize: -1})
@@ -177,11 +170,8 @@ func TestConcurrentQueryCaptureCached(t *testing.T) {
 	}
 	ref.Flush()
 
-	want := queryRenders(ref, traces)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("post-quiesce trace %d diverged:\nconcurrent: %s\nreference:  %s", i, got[i], want[i])
-		}
+	if d := readAnswers(ref, ids).diff(got, ids, true); d != "" {
+		t.Fatalf("post-quiesce answers diverged from the uncached reference: %s", d)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/backend"
+	"repro/internal/bloom"
 	"repro/internal/collector"
 	"repro/internal/rpc"
 )
@@ -13,7 +14,8 @@ import (
 // path uses (stats are read through Cluster.backendStats). Two
 // implementations exist — the in-process *backend.Backend (Open/NewCluster)
 // and the *rpc.Client network transport (Dial) — and the Cluster code is
-// identical over both, which is what the loopback parity tests pin down.
+// identical over both, which is what the parity oracle (oracle_test.go) pins
+// down.
 type store interface {
 	collector.Sink
 
@@ -54,6 +56,15 @@ func (c Config) validate() error {
 	}
 	if c.IngestWorkers < 0 {
 		return bad("IngestWorkers", fmt.Sprintf("= %d; want >= 0 (0 keeps ingestion synchronous)", c.IngestWorkers))
+	}
+	if c.Alpha != 0 && !(c.Alpha > 0 && c.Alpha < 1) {
+		return bad("Alpha", fmt.Sprintf("= %v; want 0 (the default) or a value in (0, 1)", c.Alpha))
+	}
+	if !(c.BloomFPP < 1) {
+		return bad("BloomFPP", fmt.Sprintf("= %v; want < 1 (0 or less takes the default)", c.BloomFPP))
+	}
+	if c.BloomBufferBytes > bloom.MaxBufferBytes {
+		return bad("BloomBufferBytes", fmt.Sprintf("= %d; want <= %d (0 or less takes the default)", c.BloomBufferBytes, bloom.MaxBufferBytes))
 	}
 	if c.QueryWorkers < -1 {
 		return bad("QueryWorkers", fmt.Sprintf("= %d; want >= -1 (-1 forces serial queries, 0 sizes to GOMAXPROCS)", c.QueryWorkers))

@@ -1,16 +1,17 @@
 package mint_test
 
-// Loopback parity: the acceptance bar for the networked deployment. The
-// same workload driven through (a) an in-process cluster and (b) a
-// mintd-shaped loopback server plus remote agents dialed over TCP must
-// answer Query, BatchAnalyze and FindTraces byte-identically — including
-// after the server restarts from its DataDir, proving durability is
-// preserved over the wire. Run with -race: the transport multiplexes
-// collectors, reporters and query goroutines onto one connection.
+// The networked deployment at the public-API level. The same workload
+// driven through an in-process cluster and through a mintd-shaped loopback
+// server plus remote agents dialed over TCP must answer every read path
+// byte-identically, including after the server restarts from its DataDir.
+// Also: one dialed cluster shared by many goroutines, config ownership, and
+// the closed and dead-server contracts. The parity oracle's remote rows
+// (oracle_test.go) run the same checks over seeded histories. Run with
+// -race: the transport multiplexes collectors, reporters and query
+// goroutines onto one connection.
 
 import (
 	"fmt"
-	"reflect"
 	"sync"
 	"testing"
 
@@ -52,49 +53,12 @@ func (m *mintdShaped) stop(t *testing.T) {
 	}
 }
 
-// assertRemoteParity compares every read path of the two clusters
-// byte-for-byte: Query renders, BatchAnalyze, FindTraces and storage
-// accounting.
-func assertRemoteParity(t *testing.T, label string, inproc, remote *mint.Cluster, ids []string) {
-	t.Helper()
-	want, got := renderQueries(inproc, ids), renderQueries(remote, ids)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("%s: trace %s diverged:\nin-process:\n%s\nremote:\n%s", label, ids[i], want[i], got[i])
-		}
-	}
-
-	wantStats, wantMiss := inproc.BatchAnalyze(ids)
-	gotStats, gotMiss := remote.BatchAnalyze(ids)
-	if wantMiss != gotMiss || !reflect.DeepEqual(wantStats, gotStats) {
-		t.Fatalf("%s: BatchAnalyze diverged: in-process (%+v, %d) vs remote (%+v, %d)",
-			label, wantStats, wantMiss, gotStats, gotMiss)
-	}
-
-	for _, f := range recoveryFilters(ids) {
-		w, g := inproc.FindTraces(f), remote.FindTraces(f)
-		if !reflect.DeepEqual(w, g) {
-			t.Fatalf("%s: FindTraces(%+v) diverged:\nin-process: %v\nremote: %v", label, f, w, g)
-		}
-	}
-
-	if w, g := inproc.StorageBytes(), remote.StorageBytes(); w != g {
-		t.Fatalf("%s: storage bytes diverged: in-process %d, remote %d", label, w, g)
-	}
-	if err := remote.Err(); err != nil {
-		t.Fatalf("%s: remote transport error: %v", label, err)
-	}
-}
-
 func TestLoopbackParityWithRestart(t *testing.T) {
 	dir := t.TempDir()
 	sys := sim.OnlineBoutique(33)
 	warm := sim.GenTraces(sys, 200)
 	traces := sim.GenTraces(sys, 500)
-	ids := make([]string, len(traces))
-	for i, tr := range traces {
-		ids[i] = tr.TraceID
-	}
+	ids := traceIDs(traces)
 
 	// The in-process reference: agents + sharded backend in one process.
 	inproc := mint.NewCluster(sys.Nodes, mint.Config{Shards: 4})
@@ -111,21 +75,16 @@ func TestLoopbackParityWithRestart(t *testing.T) {
 	// Identical serial workload through both. The full samplers are on:
 	// serial capture order makes their streaming decisions deterministic,
 	// so they must agree across deployments.
-	inproc.Warmup(warm)
-	remote.Warmup(warm)
-	for _, tr := range traces {
-		if err := inproc.Capture(tr); err != nil {
-			t.Fatalf("in-process Capture: %v", err)
+	for _, cl := range []*mint.Cluster{inproc, remote} {
+		cl.Warmup(warm)
+		for _, tr := range traces {
+			if err := cl.Capture(tr); err != nil {
+				t.Fatalf("Capture: %v", err)
+			}
 		}
-		if err := remote.Capture(tr); err != nil {
-			t.Fatalf("remote Capture: %v", err)
+		if err := cl.Flush(); err != nil {
+			t.Fatalf("Flush: %v", err)
 		}
-	}
-	if err := inproc.Flush(); err != nil {
-		t.Fatalf("in-process Flush: %v", err)
-	}
-	if err := remote.Flush(); err != nil {
-		t.Fatalf("remote Flush: %v", err)
 	}
 
 	// The byte meters must agree exactly: the remote transport carries the
@@ -133,8 +92,7 @@ func TestLoopbackParityWithRestart(t *testing.T) {
 	if w, g := inproc.NetworkBytes(), remote.NetworkBytes(); w != g {
 		t.Fatalf("metered network bytes diverged: in-process %d, remote %d", w, g)
 	}
-
-	assertRemoteParity(t, "live", inproc, remote, ids)
+	assertSameAnswers(t, "live", inproc, remote, ids)
 
 	// Concurrent remote reads (for -race): many goroutines share the one
 	// connection while stats round-trips interleave.
@@ -157,37 +115,32 @@ func TestLoopbackParityWithRestart(t *testing.T) {
 	}
 
 	// Restart: close the remote handle (flushes the server's WAL over the
-	// wire), stop the server, bring a fresh one up from the same DataDir,
-	// dial again — durability must be preserved over the wire.
+	// wire), stop the server, bring a fresh one up from the same DataDir at
+	// another shard count, dial again — durability must be preserved over
+	// the wire.
 	if err := remote.Close(); err != nil {
 		t.Fatalf("remote Close: %v", err)
 	}
 	server.stop(t)
-
-	server2 := startMintd(t, dir, 2) // different shard count: layout-independent
+	server2 := startMintd(t, dir, 2)
 	defer server2.stop(t)
 	remote2, err := mint.Dial(server2.addr, sys.Nodes, mint.Defaults())
 	if err != nil {
 		t.Fatalf("re-Dial: %v", err)
 	}
 	defer remote2.Close()
-	assertRemoteParity(t, "after restart", inproc, remote2, ids)
+	assertSameAnswers(t, "after restart", inproc, remote2, ids)
 }
 
 // TestLoopbackParityConcurrentIngest drives the full concurrent pipeline —
 // ingest worker pool, async batched reporters — through the network
 // transport under -race. Samplers are replaced by deterministic hash-based
 // head sampling so decisions are interleaving-independent, and a fixed
-// subset is marked sampled explicitly (the concurrent-parity discipline the
-// in-process tests use).
+// subset is marked sampled explicitly.
 func TestLoopbackParityConcurrentIngest(t *testing.T) {
 	sys := sim.OnlineBoutique(77)
 	warm := sim.GenTraces(sys, 150)
 	traces := sim.GenTraces(sys, 400)
-	ids := make([]string, len(traces))
-	for i, tr := range traces {
-		ids[i] = tr.TraceID
-	}
 	cfg := mint.Config{DisableSamplers: true, HeadSampleRate: 0.1, IngestWorkers: 4}
 
 	inprocCfg := cfg
@@ -227,8 +180,7 @@ func TestLoopbackParityConcurrentIngest(t *testing.T) {
 			t.Fatalf("second Flush: %v", err)
 		}
 	}
-
-	assertRemoteParity(t, "concurrent ingest", inproc, remote, ids)
+	assertSameAnswers(t, "concurrent ingest", inproc, remote, traceIDs(traces))
 }
 
 // TestSharedRemoteClusterConcurrentMixed shares one dialed Cluster between
@@ -308,7 +260,7 @@ func TestSharedRemoteClusterConcurrentMixed(t *testing.T) {
 		t.Fatalf("remote Flush: %v", err)
 	}
 
-	assertRemoteParity(t, "shared remote cluster", inproc, remote, ids)
+	assertSameAnswers(t, "shared remote cluster", inproc, remote, ids)
 }
 
 // TestDialRejectsServerSideConfig pins the config ownership rule: backend

@@ -2,11 +2,9 @@ package mint_test
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -19,7 +17,7 @@ import (
 
 // runWorkload drives one deterministic mixed workload — direct captures
 // plus OTLP/JSON ingests — through a cluster and returns the captured trace
-// IDs. Both self-trace parity arms run exactly this.
+// IDs.
 func runWorkload(t *testing.T, cluster *mint.Cluster, sys *sim.System) []string {
 	t.Helper()
 	cluster.Warmup(sim.GenTraces(sys, 100))
@@ -51,59 +49,6 @@ func runWorkload(t *testing.T, cluster *mint.Cluster, sys *sim.System) []string 
 		t.Fatalf("Flush: %v", err)
 	}
 	return ids
-}
-
-// queryFingerprint renders one query answer as a comparable string.
-func queryFingerprint(res mint.QueryResult) string {
-	s := fmt.Sprintf("%v|%s|", res.Kind, res.Reason)
-	if res.Trace != nil {
-		s += res.Trace.Serialize()
-	}
-	return s
-}
-
-// TestSelfTraceParity pins the isolation invariant behind Config.SelfTrace:
-// an identical workload answers every real-trace query and predicate search
-// byte-identically with self-tracing on or off. Self spans live on the
-// reserved mint-self node with mint-self- trace IDs; Bloom probes skip self
-// segments for ordinary IDs and searches only surface self data when the
-// filter names the reserved service, so parity holds by construction.
-func TestSelfTraceParity(t *testing.T) {
-	plain := mint.NewCluster(sim.OnlineBoutique(7).Nodes, mint.Defaults())
-	defer plain.Close()
-	traced := mint.NewCluster(sim.OnlineBoutique(7).Nodes, mint.Config{SelfTrace: true})
-	defer traced.Close()
-
-	ids := runWorkload(t, plain, sim.OnlineBoutique(7))
-	ids2 := runWorkload(t, traced, sim.OnlineBoutique(7))
-	if !reflect.DeepEqual(ids, ids2) {
-		t.Fatal("workloads diverged; the parity comparison is void")
-	}
-	if traced.SelfTraceSpans() == 0 {
-		t.Fatal("self-traced cluster fed no self spans; the parity run exercised nothing")
-	}
-	if plain.SelfTraceSpans() != 0 {
-		t.Fatal("plain cluster fed self spans with SelfTrace off")
-	}
-
-	for _, id := range ids {
-		got, want := queryFingerprint(traced.Query(id)), queryFingerprint(plain.Query(id))
-		if got != want {
-			t.Fatalf("Query(%s) diverges under self-tracing:\n got %s\nwant %s", id, got, want)
-		}
-	}
-	filters := []mint.Filter{
-		{Service: "payment", Candidates: ids},
-		{ErrorsOnly: true, Candidates: ids},
-		{Candidates: ids},
-		{Reason: "symptom-sampler"},
-	}
-	for i, f := range filters {
-		got, want := traced.FindTraces(f), plain.FindTraces(f)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("FindTraces[%d] diverges under self-tracing:\n got %v\nwant %v", i, got, want)
-		}
-	}
 }
 
 // TestSelfTraceQueryable asserts the other half of mint-traces-mint: the

@@ -26,7 +26,8 @@ import (
 // telemetry.SelfTracePrefix, the backend skips self segments when probing
 // ordinary IDs, and predicate searches only surface self spans for filters
 // naming Service "mint-self" — query answers for real traces are identical
-// with self-tracing on or off (pinned by TestSelfTraceParity).
+// with self-tracing on or off (pinned by the parity oracle's self_trace
+// row).
 //
 // Pending traces batch under a mutex and flush to the collector every
 // selfFlushBatch traces and on drain (Flush/Close), keeping observer

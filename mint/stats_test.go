@@ -1,10 +1,12 @@
 package mint_test
 
-// Cluster.Stats is the one-call snapshot harnesses (cmd/mintexp) build their
-// artifacts from. These tests pin its consistency contract: it agrees with
+// Cluster.Stats is the one-call snapshot of a cluster's byte accounting and
+// pattern state. These tests pin its consistency contract: it agrees with
 // the single-field accessors, it is identical between an in-process cluster
-// and a loopback-remote one driven with the same workload, and the
-// backend-derived fields survive a DataDir reopen.
+// and a loopback-remote one driven with the same workload, a remote Stats is
+// one round trip, and the backend-derived fields survive a DataDir reopen.
+// Every parity oracle rig (oracle_test.go) also checks Stats against its
+// reference store.
 
 import (
 	"testing"
