@@ -32,11 +32,12 @@ var ErrClientClosed = errors.New("rpc: client closed")
 // hands each response to its request by ID, so many requests pipeline in
 // flight on the one connection (the server runs them concurrently), and
 // large batch lookups fan out in chunks. Ingest writes (reports, sampling
-// marks) are fire-and-forget: they coalesce into sequenced envelope frames
-// journaled until the server acknowledges them, preserving their order, and
-// every synchronous operation (queries, Flush, Close) first flushes the
-// coalescer and waits for the journal to drain — a query never runs ahead of
-// the reports that precede it.
+// marks) are fire-and-forget: they coalesce into sequenced envelopes
+// journaled until the server acknowledges them, and one background
+// goroutine sends the journal in order, so a slow server slows that
+// goroutine, never the caller. Every synchronous operation (queries, Flush,
+// Close) first flushes the coalescer and waits for the journal to drain — a
+// query never runs ahead of the reports that precede it.
 //
 // Failures are survivable by design. A connection-level I/O error closes the
 // connection and the maintenance loop redials it with exponential backoff
@@ -44,10 +45,12 @@ var ErrClientClosed = errors.New("rpc: client closed")
 // deadline; journaled ingest envelopes replay on reconnect and the server's
 // per-session dedup window keeps the replay exactly-once. While the
 // connection is down a circuit breaker makes calls wait for recovery — or
-// fail fast once a redial is refused outright. Err distinguishes the failure
-// classes: retryable outages surface as ErrUnavailable-wrapped errors, while
-// protocol violations and server rejections are sticky. A cleanly closed
-// client reports nil.
+// fail fast once a redial is refused outright. The journal's byte bound is
+// the one overload limit: past it new envelopes are dropped and reported
+// through Err. Err distinguishes the failure classes: retryable outages
+// surface as ErrUnavailable-wrapped errors, while protocol violations and
+// server rejections are sticky. A closed client reports nil unless Close
+// left ingest undelivered.
 type Client struct {
 	addr    string // redial target
 	session uint64 // random nonzero ID stamped on ingest envelopes
@@ -71,13 +74,14 @@ type Client struct {
 	coBuf   []byte      // pending coalesced ingest ops (envelope body)
 	coTimer *time.Timer // flush timer armed while coBuf is non-empty
 
-	// jmu guards the ingest journal; jcond wakes barrier waiters.
-	jmu     sync.Mutex
-	jcond   *sync.Cond
-	journal []*envEntry // unacknowledged envelopes in sequence order
-	jbytes  int
-	nextSeq uint64
-	pumping bool
+	// jmu guards the ingest journal; jcond wakes barrier waiters; pumpWake
+	// wakes the maintenance goroutine, the journal's one sender.
+	jmu      sync.Mutex
+	jcond    *sync.Cond
+	journal  []*envEntry // unacknowledged envelopes in sequence order
+	jbytes   int
+	nextSeq  uint64
+	pumpWake chan struct{}
 
 	redials atomic.Int64 // connections restored by the redial loop
 	retries atomic.Int64 // synchronous call retry attempts
@@ -300,10 +304,11 @@ func newSessionID() uint64 {
 }
 
 // Dial connects to a mintd backend server and performs the protocol
-// handshake. If the connection dies later, the client redials it in the
-// background.
+// handshake. It starts the connection's reader and the maintenance
+// goroutine, which redials a dead connection in the background, pings an
+// idle one, and is the only sender of journaled ingest.
 func Dial(addr string) (*Client, error) {
-	c := &Client{addr: addr, quit: make(chan struct{}), session: newSessionID()}
+	c := &Client{addr: addr, quit: make(chan struct{}), pumpWake: make(chan struct{}, 1), session: newSessionID()}
 	c.jcond = sync.NewCond(&c.jmu)
 	cc, err := c.dialConn(DialTimeout)
 	if err != nil {
@@ -429,26 +434,18 @@ func (cc *clientConn) dispatch(typ byte, id uint64, payload []byte) bool {
 		if seq != 0 {
 			cc.cli.journalAck(seq)
 		}
-	case respErr, respBusy:
-		err, retryAfter, bad := respFailure(typ, payload)
-		switch {
-		case bad != nil:
+	case respErr:
+		err, bad := respError(payload)
+		if bad != nil {
 			cc.fail(bad)
 			return false
-		case seq == 0:
-			if typ == respErr {
-				cc.cli.recordServerErr(err)
-			}
-		case typ == respBusy:
-			// Shed by the server: keep the envelope journaled, resend after
-			// the server's hint. The maintenance loop delivers it when due.
-			cc.cli.journalDelay(seq, retryAfter)
-		default:
+		}
+		if seq != 0 {
 			// The server consumed the sequence without applying it (a
 			// malformed envelope); replaying it would loop forever.
 			cc.cli.journalDrop(seq)
-			cc.cli.recordServerErr(err)
 		}
+		cc.cli.recordServerErr(err)
 	default:
 		cc.fail(fmt.Errorf("%w: response type 0x%02x for a write", ErrProtocol, typ))
 		return false
@@ -456,19 +453,13 @@ func (cc *clientConn) dispatch(typ byte, id uint64, payload []byte) bool {
 	return true
 }
 
-// respFailure decodes the payload of a respErr or respBusy frame into the
-// error it answers with: the server's rejection, or errServerBusy with the
-// busy frame's retry-after hint. bad reports an undecodable payload — a
-// desynced stream the caller must latch.
-func respFailure(typ byte, payload []byte) (err error, retryAfter time.Duration, bad error) {
+// respError decodes the payload of a respErr frame into the server's
+// rejection. bad reports an undecodable payload — a desynced stream the
+// caller must latch.
+func respError(payload []byte) (err, bad error) {
 	d := wire.NewDecoder(payload)
-	if typ == respErr {
-		err = fmt.Errorf("rpc: server: %s", d.Str())
-	} else {
-		err = errServerBusy
-		retryAfter = time.Duration(d.Uvarint()) * time.Millisecond
-	}
-	return err, retryAfter, d.Done()
+	err = fmt.Errorf("rpc: server: %s", d.Str())
+	return err, d.Done()
 }
 
 // fail latches the connection's first transport error, closes it, and
@@ -573,7 +564,7 @@ func (c *Client) Redials() int64 { return c.redials.Load() }
 func (c *Client) Retries() int64 { return c.retries.Load() }
 
 // ReplayedEnvelopes returns the number of journaled ingest envelopes that
-// were re-sent after a connection failure or busy response.
+// were re-sent after a connection failure.
 func (c *Client) ReplayedEnvelopes() int64 { return c.replays.Load() }
 
 // DroppedEnvelopes returns the number of ingest envelopes dropped because
@@ -645,8 +636,7 @@ func (cc *clientConn) unregister(id uint64) bool {
 // exchange performs one synchronous request/response over this connection.
 // Many exchanges pipeline concurrently; the reader hands each its response
 // by request ID. A respErr response decodes into a returned error without
-// poisoning the connection, a respBusy answers errServerBusy (retryable);
-// transport, framing and decode errors latch.
+// poisoning the connection; transport, framing and decode errors latch.
 func (cc *clientConn) exchange(reqType, respType byte, encode func([]byte) []byte, decode func(*wire.Decoder)) error {
 	ca := getCall()
 	if err := cc.send(reqType, ca, encode); err != nil {
@@ -663,9 +653,9 @@ func (cc *clientConn) exchange(reqType, respType byte, encode func([]byte) []byt
 	putCall(ca)
 	var err error
 	switch typ {
-	case respErr, respBusy:
+	case respErr:
 		var bad error
-		if err, _, bad = respFailure(typ, pb.b); bad != nil {
+		if err, bad = respError(pb.b); bad != nil {
 			cc.fail(bad)
 			err = bad
 		}
@@ -713,8 +703,8 @@ func (c *Client) isClosed() bool {
 }
 
 // call is the one synchronous path: the write barrier, then one exchange,
-// retried transparently. Transient failures (connection I/O errors, busy
-// shedding, a connection that is down) retry with jittered backoff until
+// retried transparently. Transient failures (connection I/O errors, a
+// connection that is down) retry with jittered backoff until
 // the per-call retry deadline; fatal errors and server rejections return
 // immediately. While the breaker is open the wait rides its recovery
 // signal, and the refused state fails fast.
@@ -797,7 +787,9 @@ func (c *Client) Ping() error {
 
 // Close flushes the coalescer and waits (bounded by the retry deadline, or
 // until the breaker knows the server is gone) for journaled ingest
-// envelopes to be acknowledged, then closes the connection. Further calls
+// envelopes to be acknowledged, then closes the connection. Ingest it could
+// not deliver is reported: Close returns the error naming how many
+// envelopes were never acknowledged, and Err reports it too. Further calls
 // fail fast with ErrClientClosed. Safe to call more than once.
 func (c *Client) Close() error {
 	c.mu.Lock()
@@ -808,19 +800,19 @@ func (c *Client) Close() error {
 	c.closed = true
 	c.flushOpsLocked()
 	c.mu.Unlock()
-	_ = c.awaitJournal()
+	lost := c.awaitJournal()
+	c.recordServerErr(lost)
 	c.closing.Store(true)
 	close(c.quit)
 	c.cmu.Lock()
 	cc := c.conn.cc
 	c.conn.cc = nil
 	c.cmu.Unlock()
-	var err error
 	if cc != nil {
-		err = cc.nc.Close()
+		cc.nc.Close()
 	}
 	c.bg.Wait()
-	return err
+	return lost
 }
 
 // --- ingest coalescing (collector.Sink) ---
@@ -852,8 +844,8 @@ func (c *Client) flushOpsTimer() {
 }
 
 // flushOpsLocked seals the coalesced ingest ops into one sequenced,
-// journaled envelope and pumps the journal toward the connection. With the
-// connection down the envelope simply stays journaled — the redial loop
+// journaled envelope and wakes the maintenance goroutine to send it. With
+// the connection down the envelope simply stays journaled — the redial loop
 // replays it when the connection comes back; only journal overflow drops it
 // (and the loss surfaces through Err). Callers hold c.mu.
 func (c *Client) flushOpsLocked() {
@@ -873,7 +865,10 @@ func (c *Client) flushOpsLocked() {
 	if cap(c.coBuf) > maxRetainedBuf {
 		c.coBuf = nil
 	}
-	c.pumpJournal()
+	select {
+	case c.pumpWake <- struct{}{}:
+	default: // a wake-up is already pending
+	}
 }
 
 // AcceptBatch coalesces one report batch into the ingest envelope — the

@@ -4,6 +4,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
+	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -86,56 +89,62 @@ func TestRedialReplaysJournaledIngest(t *testing.T) {
 	}
 }
 
-// mkEnvelope builds a raw sequenced envelope payload carrying one mark op,
-// stamped with the sender's journal head.
-func mkEnvelope(session, seq, head uint64, traceID string) []byte {
+// mkEnvelope builds a raw sequenced envelope payload carrying one mark op.
+func mkEnvelope(session, seq uint64, traceID string) []byte {
 	var hdr [envelopeHeaderBytes]byte
 	binary.BigEndian.PutUint64(hdr[:8], session)
-	binary.BigEndian.PutUint64(hdr[8:16], seq)
-	binary.BigEndian.PutUint64(hdr[16:], head)
+	binary.BigEndian.PutUint64(hdr[8:], seq)
 	return append(hdr[:], wire.AppendMarkOp(nil, traceID, "r")...)
 }
 
 // The server's per-session window must acknowledge duplicates without
-// re-applying, answer busy to sequence gaps, and treat each session
-// independently (a session the server does not know opens its window at the
-// journal head its first envelope carries — the rule that lets a restarted
-// server pick up a mid-life client).
+// re-applying, apply any sequence past the window (including one past a
+// sequence the client dropped itself), and treat each session independently
+// (a session the server does not know opens its window at 0 — the rule that
+// lets a restarted server pick up a mid-life client).
 func TestEnvelopeDedupWindow(t *testing.T) {
-	s := NewServer(backend.NewSharded(0, 1))
-	if resp := s.applyEnvelope(nil, 1, mkEnvelope(9, 1, 1, "a")); resp[0] != respOK {
+	b := backend.NewSharded(0, 1)
+	s := NewServer(b)
+	if resp := s.applyEnvelope(nil, 1, mkEnvelope(9, 1, "a")); resp[0] != respOK {
 		t.Fatalf("first envelope answered 0x%02x, want respOK", resp[0])
 	}
-	if resp := s.applyEnvelope(nil, 2, mkEnvelope(9, 1, 1, "a")); resp[0] != respOK {
+	if resp := s.applyEnvelope(nil, 2, mkEnvelope(9, 1, "a")); resp[0] != respOK {
 		t.Fatalf("duplicate answered 0x%02x, want respOK", resp[0])
 	}
 	if got := s.DedupHits(); got != 1 {
 		t.Fatalf("DedupHits = %d, want 1", got)
 	}
-	if resp := s.applyEnvelope(nil, 3, mkEnvelope(9, 3, 2, "c")); resp[0] != respBusy {
-		t.Fatalf("gap answered 0x%02x, want respBusy", resp[0])
+	if resp := s.applyEnvelope(nil, 3, mkEnvelope(9, 2, "b")); resp[0] != respOK {
+		t.Fatalf("next envelope answered 0x%02x, want respOK", resp[0])
 	}
-	if resp := s.applyEnvelope(nil, 4, mkEnvelope(9, 2, 2, "b")); resp[0] != respOK {
-		t.Fatalf("gap-filling envelope answered 0x%02x, want respOK", resp[0])
+	// The client dropped sequence 3 (an oversized frame): 4 applies, and a
+	// late 3 is acknowledged without being applied.
+	if resp := s.applyEnvelope(nil, 4, mkEnvelope(9, 4, "d")); resp[0] != respOK {
+		t.Fatalf("envelope past a dropped sequence answered 0x%02x, want respOK", resp[0])
 	}
-	if resp := s.applyEnvelope(nil, 5, mkEnvelope(9, 3, 3, "c")); resp[0] != respOK {
-		t.Fatalf("replay after gap fill answered 0x%02x, want respOK", resp[0])
+	if resp := s.applyEnvelope(nil, 5, mkEnvelope(9, 3, "c")); resp[0] != respOK {
+		t.Fatalf("late lower sequence answered 0x%02x, want respOK", resp[0])
+	}
+	for id, want := range map[string]bool{"a": true, "b": true, "c": false, "d": true} {
+		if b.Sampled(id) != want {
+			t.Fatalf("mark %s applied = %v, want %v", id, !want, want)
+		}
+	}
+	if got := s.DedupHits(); got != 2 {
+		t.Fatalf("DedupHits = %d, want 2", got)
 	}
 	// A different session starting mid-stream (its first 39 envelopes were
-	// acknowledged by an earlier server process) opens its own window at
-	// its head.
-	if resp := s.applyEnvelope(nil, 6, mkEnvelope(11, 40, 40, "d")); resp[0] != respOK {
-		t.Fatalf("fresh session's first envelope answered 0x%02x, want respOK", resp[0])
+	// acknowledged by an earlier server process) opens its own window.
+	if resp := s.applyEnvelope(nil, 6, mkEnvelope(11, 40, "e")); resp[0] != respOK || !b.Sampled("e") {
+		t.Fatalf("fresh session's first envelope answered 0x%02x, want it applied", resp[0])
 	}
 	if got := s.IngestSessions(); got != 2 {
 		t.Fatalf("IngestSessions = %d, want 2", got)
 	}
 	for i, env := range [][]byte{
-		mkEnvelope(0, 1, 1, "e"),  // zero session
-		mkEnvelope(13, 0, 1, "e"), // zero sequence
-		mkEnvelope(13, 1, 0, "e"), // zero head
-		mkEnvelope(13, 1, 2, "e"), // head past the sequence it rides on
-		{1, 2, 3},                 // shorter than the header
+		mkEnvelope(0, 1, "f"),  // zero session
+		mkEnvelope(13, 0, "f"), // zero sequence
+		{1, 2, 3},              // shorter than the header
 	} {
 		if resp := s.applyEnvelope(nil, uint64(7+i), env); resp[0] != respErr {
 			t.Fatalf("malformed envelope %d answered 0x%02x, want respErr", i, resp[0])
@@ -143,78 +152,99 @@ func TestEnvelopeDedupWindow(t *testing.T) {
 	}
 }
 
-// TestShedHeadReplayIsApplied pins the shedding race at the window's edge: a
-// fresh session's head envelope is shed (busy) while its pipelined successor
-// is accepted. The successor must wait for the head — the window opens at
-// the head it carries, not at the first sequence that arrives — so the
-// head's replay applies instead of being acknowledged as a duplicate.
-func TestShedHeadReplayIsApplied(t *testing.T) {
-	b := backend.NewSharded(0, 1)
-	s := NewServer(b)
-	if resp := s.applyEnvelope(nil, 1, mkEnvelope(21, 2, 1, "second")); resp[0] != respBusy {
-		t.Fatalf("successor of a missing head answered 0x%02x, want respBusy", resp[0])
+// stalledServer completes the handshake on every connection it accepts and
+// then never reads again, so the client's writes back up in TCP buffers.
+func stalledServer(t *testing.T) (addr string, stop func()) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
 	}
-	if resp := s.applyEnvelope(nil, 2, mkEnvelope(21, 1, 1, "first")); resp[0] != respOK {
-		t.Fatalf("replayed head answered 0x%02x, want respOK", resp[0])
-	}
-	if resp := s.applyEnvelope(nil, 3, mkEnvelope(21, 2, 1, "second")); resp[0] != respOK {
-		t.Fatalf("replayed successor answered 0x%02x, want respOK", resp[0])
-	}
-	for _, id := range []string{"first", "second"} {
-		if !b.Sampled(id) {
-			t.Fatalf("mark %s acknowledged but never applied", id)
+	var mu sync.Mutex
+	var conns []net.Conn
+	go func() {
+		for {
+			nc, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			conns = append(conns, nc)
+			mu.Unlock()
+			pre := make([]byte, len(Magic)+1)
+			if _, err := io.ReadFull(nc, pre); err == nil {
+				nc.Write(handshakeBytes())
+			}
 		}
-	}
-	if got := s.DedupHits(); got != 0 {
-		t.Fatalf("DedupHits = %d, want 0: nothing was sent twice after applying", got)
+	}()
+	return ln.Addr().String(), func() {
+		ln.Close()
+		mu.Lock()
+		for _, nc := range conns {
+			nc.Close()
+		}
+		mu.Unlock()
 	}
 }
 
-// An overloaded ingest queue must shed with busy frames, and the client's
-// journal must absorb the shedding: every envelope still applies exactly
-// once, with no error latched.
-func TestIngestShedsAndClientReplays(t *testing.T) {
+// A server that stops reading must slow only the journal pump, never the
+// application's ingest calls: 27 MB of marks, under the journal bound, all
+// return promptly and nothing is dropped.
+func TestStalledServerDoesNotBlockIngest(t *testing.T) {
 	overrideFaultTimers(t)
-	restore := SetIngestQueueDepthForTest(0) // every concurrent envelope sheds
-	t.Cleanup(restore)
-	// Hold the apply worker on its first envelope until the reader has shed
-	// one behind it, so shedding happens on every run rather than only when
-	// the worker falls behind by chance.
-	release := make(chan struct{})
-	var hold sync.Once
-	testHookIngestApply = func() { hold.Do(func() { <-release }) }
-	t.Cleanup(func() { testHookIngestApply = nil })
+	addr, stop := stalledServer(t)
+	cli, err := Dial(addr)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	t.Cleanup(func() {
+		stop() // the client's Close then sees the connection die and gives up
+		cli.Close()
+	})
 
-	b := backend.NewSharded(0, 1)
-	cli, srv := startLoopback(t, b)
-	// Under a zero-depth queue, throughput degrades to roughly one envelope
-	// per busy-delay round — that is the backpressure working. Size the
-	// burst so the drain fits the shortened retry deadline with margin.
-	const n = 60
-	for i := 0; i < n; i++ {
-		cli.MarkSampled(fmt.Sprintf("t%d", i), "r")
-		// Seal each mark into its own envelope so many are in flight at once.
-		cli.mu.Lock()
-		cli.flushOpsLocked()
-		cli.mu.Unlock()
-	}
-	for deadline := time.Now().Add(5 * time.Second); srv.Shed() == 0 && time.Now().Before(deadline); {
-		time.Sleep(time.Millisecond)
-	}
-	close(release)
-	if err := cli.Ping(); err != nil { // barrier: journal must drain
-		t.Fatalf("ping barrier: %v", err)
-	}
-	for i := 0; i < n; i++ {
-		if !b.Sampled(fmt.Sprintf("t%d", i)) {
-			t.Fatalf("mark t%d lost under shedding", i)
+	id := strings.Repeat("x", 60<<10)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 450; i++ {
+			cli.MarkSampled(fmt.Sprintf("%s%d", id, i), "r")
 		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("MarkSampled blocked behind a server that stopped reading")
 	}
-	if srv.Shed() == 0 {
-		t.Fatalf("an unbuffered ingest queue shed nothing under %d pipelined envelopes", n)
+	if n := cli.DroppedEnvelopes(); n != 0 {
+		t.Fatalf("DroppedEnvelopes = %d, want 0 under the journal bound", n)
 	}
-	if err := cli.Err(); err != nil {
-		t.Fatalf("shedding latched an error: %v", err)
+}
+
+// Close must report ingest it could not deliver: with the server gone, a
+// mark captured before Close is lost, and both Close and Err say so.
+func TestCloseReportsUndeliveredIngest(t *testing.T) {
+	overrideFaultTimers(t)
+	b := backend.NewSharded(0, 1)
+	srv := NewServer(b)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	cli, err := Dial(addr.String())
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	srv.Close()
+	cli.MarkSampled("lost", "r")
+	cerr := cli.Close()
+	if !errors.Is(cerr, ErrUnavailable) || !strings.Contains(cerr.Error(), "1 ingest envelopes") {
+		t.Fatalf("Close = %v, want ErrUnavailable naming 1 unacknowledged envelope", cerr)
+	}
+	if err := cli.Err(); !errors.Is(err, ErrUnavailable) {
+		t.Fatalf("Err after a lossy Close = %v, want the loss", err)
+	}
+	if b.Sampled("lost") {
+		t.Fatal("the mark was applied after all")
 	}
 }
 

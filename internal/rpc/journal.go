@@ -3,12 +3,13 @@ package rpc
 // The client-side ingest journal: the exactly-once half of the fault
 // tolerance layer. Every coalesced ingest envelope is stamped with the
 // client's session ID and the next sequence number, copied into a journal
-// entry, and kept there until the server acknowledges that sequence. A
-// connection death un-marks the entries that were in flight on it; the pump
-// resends unacknowledged entries in sequence order on the connection, so
-// after a redial the journal replays exactly the envelopes the server never
-// applied — the server's per-session dedup window absorbs the
-// rare duplicate whose acknowledgement was lost in transit.
+// entry, and kept there until the server acknowledges that sequence. Only
+// the maintenance goroutine pumps the journal onto the connection, in
+// sequence order, so TCP backpressure slows the pump and never a caller. A
+// connection death un-marks the entries that were in flight on it, so after
+// a redial the journal replays exactly the envelopes the server never
+// acknowledged — the server's per-session dedup window absorbs the rare
+// duplicate whose acknowledgement was lost in transit.
 
 import (
 	"encoding/binary"
@@ -19,20 +20,15 @@ import (
 // envEntry is one journaled ingest envelope.
 type envEntry struct {
 	seq      uint64
-	buf      []byte    // full envelope payload: session+seq header, then ops
-	sent     bool      // in flight, awaiting acknowledgement
-	everSent bool      // sent at least once (a later send is a replay)
-	retryAt  time.Time // earliest resend after a busy response
+	buf      []byte // full envelope payload: session+seq header, then ops
+	sent     bool   // in flight, awaiting acknowledgement
+	everSent bool   // sent at least once (a later send is a replay)
 }
 
 // journalAppend stamps ops with the session header and the next sequence
 // number and appends the entry, returning nil when the journal is at its
 // byte bound and the envelope must be dropped instead (the dropped envelope
-// consumes no sequence number, so the journal never develops a gap the
-// server's in-order window would refuse to step over). The caller owns
-// surfacing the loss. The header's head field is left zero: pumpJournal
-// stamps it on the outgoing copy, because a head read now would be stale by
-// the time the envelope is sent.
+// consumes no sequence number). The caller owns surfacing the loss.
 func (c *Client) journalAppend(ops []byte) *envEntry {
 	c.jmu.Lock()
 	defer c.jmu.Unlock()
@@ -85,69 +81,19 @@ func (c *Client) journalUnsend(seq uint64) {
 	c.jmu.Unlock()
 }
 
-// journalDelay backs one sequence off after a busy response: unsent, not due
-// before the server's retry-after hint.
-func (c *Client) journalDelay(seq uint64, delay time.Duration) {
-	if delay < minBusyDelay {
-		delay = minBusyDelay
-	}
-	if delay > maxBusyDelay {
-		delay = maxBusyDelay
-	}
-	c.jmu.Lock()
-	for _, e := range c.journal {
-		if e.seq == seq {
-			e.sent = false
-			e.retryAt = time.Now().Add(delay)
-			break
-		}
-	}
-	c.jmu.Unlock()
-}
-
-// Busy backoff clamps around the server's retry-after hint.
-const (
-	minBusyDelay = 5 * time.Millisecond
-	maxBusyDelay = time.Second
-)
-
-// pumpJournal sends every due, unsent journal entry in sequence order on the
-// connection. One pump runs at a time; concurrent triggers (a flush,
-// a redial, the maintenance tick) collapse into it. The pump stops at the
-// first entry that is not yet due for resend — envelopes must reach the
-// server in sequence order, and skipping a backed-off entry would only earn
-// a busy answer for its successors.
-//
-// Each send carries the journal head (the lowest unacknowledged sequence)
-// read at send time: a server that has lost or never had this session opens
-// its window there, so an envelope whose predecessor was shed waits for the
-// predecessor's replay instead of opening the window past it.
+// pumpJournal sends every unsent journal entry in sequence order on the
+// connection. Only the maintenance goroutine calls it: the connection's
+// writer is then one goroutine, and a server that stops reading blocks that
+// goroutine, never a flush.
 func (c *Client) pumpJournal() {
-	c.jmu.Lock()
-	if c.pumping {
-		c.jmu.Unlock()
-		return
-	}
-	c.pumping = true
-	c.jmu.Unlock()
-	defer func() {
-		c.jmu.Lock()
-		c.pumping = false
-		c.jmu.Unlock()
-	}()
 	for {
 		c.jmu.Lock()
 		var e *envEntry
-		now := time.Now()
 		for _, je := range c.journal {
-			if je.sent {
-				continue // in flight ahead of us, order preserved
+			if !je.sent {
+				e = je
+				break
 			}
-			if je.retryAt.After(now) {
-				break // not due; successors must not overtake it
-			}
-			e = je
-			break
 		}
 		if e == nil {
 			c.jmu.Unlock()
@@ -156,14 +102,12 @@ func (c *Client) pumpJournal() {
 		e.sent = true
 		replay := e.everSent
 		e.everSent = true
-		seq, buf, head := e.seq, e.buf, c.journal[0].seq
+		seq, buf := e.seq, e.buf
 		c.jmu.Unlock()
 
 		cc := c.state().cc
 		if cc == nil {
-			c.jmu.Lock()
-			e.sent = false
-			c.jmu.Unlock()
+			c.journalUnsend(seq)
 			return // the connection is down; the redial loop re-pumps
 		}
 		if replay {
@@ -171,16 +115,9 @@ func (c *Client) pumpJournal() {
 		}
 		ca := getCall()
 		ca.background, ca.seq = true, seq
-		stamp := func(dst []byte) []byte {
-			dst = append(dst, buf...)
-			binary.BigEndian.PutUint64(dst[len(dst)-len(buf)+16:], head)
-			return dst
-		}
-		if err := cc.send(reqEnvelope, ca, stamp); err != nil {
+		if err := cc.send(reqEnvelope, ca, func(dst []byte) []byte { return append(dst, buf...) }); err != nil {
 			putCall(ca)
-			c.jmu.Lock()
-			e.sent = false
-			c.jmu.Unlock()
+			c.journalUnsend(seq)
 			if !isTransientErr(err) {
 				// An envelope the protocol can never carry (oversized frame):
 				// journaling it would wedge the barrier forever.
@@ -214,7 +151,7 @@ func (c *Client) awaitJournal() error {
 			return err
 		}
 		if st := c.state(); st.refused {
-			return st.err
+			return fmt.Errorf("%w; %d ingest envelopes unacknowledged", st.err, len(c.journal))
 		}
 		if !time.Now().Before(deadline) {
 			return fmt.Errorf("%w: %d ingest envelopes unacknowledged after %v",

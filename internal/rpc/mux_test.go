@@ -19,8 +19,9 @@ import (
 // disagreed: the server answers the bad preamble with its own preamble (so
 // the old client's own handshake check names both versions) and closes.
 // Version 3 is the generation that still shipped fixed-size Bloom filters and
-// version 5 the last one without the journal head in the envelope header;
-// there is no reader for either, so each is refused like any other.
+// version 6 the last one with busy frames and the journal head in the
+// envelope header; there is no reader for either, so each is refused like
+// any other.
 func TestHandshakeMismatchOldClientAgainstNewServer(t *testing.T) {
 	srv := NewServer(backend.NewSharded(0, 1))
 	addr, err := srv.Listen("127.0.0.1:0")
@@ -29,7 +30,7 @@ func TestHandshakeMismatchOldClientAgainstNewServer(t *testing.T) {
 	}
 	t.Cleanup(func() { srv.Close() })
 
-	for _, old := range []byte{1, 3, 4, 5} {
+	for _, old := range []byte{1, 3, 4, 5, 6} {
 		nc, err := net.Dial("tcp", addr.String())
 		if err != nil {
 			t.Fatalf("dial: %v", err)
@@ -44,7 +45,7 @@ func TestHandshakeMismatchOldClientAgainstNewServer(t *testing.T) {
 			t.Fatalf("v%d: read server preamble: %v", old, err)
 		}
 		// The answer is the server's own preamble; the old client's
-		// handshake check turns it into "peer speaks protocol version 6,
+		// handshake check turns it into "peer speaks protocol version 7,
 		// want <old>": the magic matched, the versions differ.
 		if string(reply) != string(handshakeBytes()) || reply[len(Magic)] == old {
 			t.Fatalf("v%d: server answered %q, want its own preamble %q", old, reply, handshakeBytes())
@@ -54,7 +55,7 @@ func TestHandshakeMismatchOldClientAgainstNewServer(t *testing.T) {
 		}
 	}
 	// And this side of the same check, when the peer is the old one.
-	for _, old := range []byte{3, 4, 5} {
+	for _, old := range []byte{3, 4, 5, 6} {
 		err = checkHandshake(append([]byte(Magic), old))
 		want := fmt.Sprintf("version %d, want %d", old, ProtoVersion)
 		if !errors.Is(err, ErrProtocol) || !strings.Contains(err.Error(), want) {
@@ -63,40 +64,52 @@ func TestHandshakeMismatchOldClientAgainstNewServer(t *testing.T) {
 	}
 }
 
-// A version-2 client connecting to a version-1 server must surface the old
-// server's rejection verbatim: v1 answered a bad handshake with a v1 error
-// frame, which the v2 client detects and decodes instead of reporting a
-// bare bad-magic error.
+// This client connecting to an older server must surface the disagreement
+// verbatim. A version-1 server answered a bad handshake with a v1 error
+// frame, which the client detects and decodes instead of reporting a bare
+// bad-magic error; a version-6 server answers with its own preamble, which
+// the client's handshake check names.
 func TestHandshakeMismatchNewClientAgainstOldServer(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	defer ln.Close()
-	go func() {
-		nc, err := ln.Accept()
+	v1Reject := wire.AppendString(nil, "rpc: protocol error: peer speaks protocol version 2, want 1")
+	v1Frame := append([]byte{respErr, 0, 0, 0, 0}, v1Reject...)
+	binary.BigEndian.PutUint32(v1Frame[1:5], uint32(len(v1Reject)))
+	for _, old := range []struct {
+		answer []byte
+		want   []string
+	}{
+		{v1Frame, []string{"peer rejected the handshake", "version 2, want 1"}},
+		{append([]byte(Magic), 6), []string{fmt.Sprintf("version 6, want %d", ProtoVersion)}},
+	} {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
-			return
+			t.Fatalf("listen: %v", err)
 		}
-		defer nc.Close()
-		pre := make([]byte, len(Magic)+1)
-		if _, err := io.ReadFull(nc, pre); err != nil {
-			return
-		}
-		// A v1 server's rejection: [respErr][4-byte length][error string].
-		msg := wire.AppendString(nil, "rpc: protocol error: peer speaks protocol version 2, want 1")
-		f := append([]byte{respErr, 0, 0, 0, 0}, msg...)
-		binary.BigEndian.PutUint32(f[1:5], uint32(len(msg)))
-		nc.Write(f)
-	}()
+		defer ln.Close()
+		go func() {
+			nc, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			defer nc.Close()
+			pre := make([]byte, len(Magic)+1)
+			if _, err := io.ReadFull(nc, pre); err != nil {
+				return
+			}
+			nc.Write(old.answer)
+		}()
 
-	_, err = Dial(ln.Addr().String())
-	if err == nil {
-		t.Fatal("dial against a v1 server succeeded")
-	}
-	if !errors.Is(err, ErrProtocol) || !strings.Contains(err.Error(), "peer rejected the handshake") ||
-		!strings.Contains(err.Error(), "version 2, want 1") {
-		t.Fatalf("dial error = %v, want the decoded v1 rejection", err)
+		_, err = Dial(ln.Addr().String())
+		if err == nil {
+			t.Fatalf("dial against a server answering %q succeeded", old.answer)
+		}
+		if !errors.Is(err, ErrProtocol) {
+			t.Fatalf("dial error = %v, want ErrProtocol", err)
+		}
+		for _, w := range old.want {
+			if !strings.Contains(err.Error(), w) {
+				t.Fatalf("dial error = %v, want it to name %q", err, w)
+			}
+		}
 	}
 }
 

@@ -29,9 +29,9 @@
 // ID multiplexes the stream: a client may have many requests in flight on
 // its connection, the server may answer them out of order (each response
 // echoes the ID of the request it answers), and fire-and-forget ingest
-// writes pipeline without waiting. Responses to ingest envelopes stay
-// ordered per connection so report application order matches a serial
-// client.
+// writes pipeline without waiting. The server applies a connection's
+// ingest envelopes in arrival order, one at a time, so report application
+// order matches a serial client.
 //
 // # Failure semantics
 //
@@ -42,14 +42,16 @@
 // synchronous calls retry, and the client's maintenance loop redials with
 // exponential backoff and jitter. Coalesced ingest envelopes carry a
 // client-session and sequence ID and are journaled in the client until
-// acknowledged; on reconnect the journal replays in order against the
-// server's per-session dedup window, so a retried envelope is applied exactly
-// once. Protocol violations and decode desyncs are fatal and latch
-// client-wide (a broken peer cannot be retried into correctness), and
-// server-side application errors (a durable-flush I/O failure) travel back
-// as error frames without poisoning the connection. An overloaded server
-// answers ingest with a busy frame instead of queueing without bound; the
-// client backs off and replays.
+// acknowledged; one goroutine sends them in sequence order, and on reconnect
+// the journal replays in order against the server's per-session dedup
+// window, so a retried envelope is applied exactly once. Protocol violations
+// and decode desyncs are fatal and latch client-wide (a broken peer cannot
+// be retried into correctness), and server-side application errors (a
+// durable-flush I/O failure) travel back as error frames without poisoning
+// the connection. Overload has one limit: a server that falls behind stops
+// reading, TCP flow control slows the client's journal pump (never the
+// caller of an ingest method), and past the journal's byte bound new
+// envelopes are dropped and reported through Err.
 package rpc
 
 import (
@@ -66,11 +68,11 @@ const (
 	// Magic opens every connection, client-first.
 	Magic = "MINT"
 	// ProtoVersion is the protocol generation this package speaks; any
-	// other is rejected at the handshake. Version 6 added the journal head
-	// to the envelope header, so a server that does not know a session
-	// opens its window where the client's unacknowledged envelopes start
-	// instead of at whichever envelope happens to arrive first.
-	ProtoVersion = 6
+	// other is rejected at the handshake. Version 7 dropped the busy
+	// response and the journal head from the envelope header: the server
+	// applies envelopes where it reads them, so none arrives ahead of its
+	// predecessor.
+	ProtoVersion = 7
 )
 
 // MaxFrameBytes bounds a frame payload (256 MB). A length beyond it is
@@ -81,6 +83,7 @@ const MaxFrameBytes = 1 << 28
 // Request frame types. 0x02 and 0x03 (one report batch, one sampling mark
 // per frame) are retired in favour of envelopes; a server answers them as
 // unknown types, so they must not be reused within this protocol version.
+// Response type 0x89 (busy) is retired the same way.
 const (
 	reqPing           = 0x01 // empty payload; respOK
 	reqQuery          = 0x04 // traceID; respQueryResult
@@ -90,7 +93,7 @@ const (
 	reqFindAnalyze    = 0x08 // filter; respFindAnalyze
 	reqStats          = 0x09 // empty payload; respStats
 	reqFlush          = 0x0A // empty payload; respOK (durable flush)
-	reqEnvelope       = 0x0B // sequenced wire envelope of coalesced ingest ops; respOK/respBusy
+	reqEnvelope       = 0x0B // sequenced wire envelope of coalesced ingest ops; respOK
 	reqFindCandidates = 0x0C // filter; respFound (approximate side only)
 )
 
@@ -104,24 +107,14 @@ const (
 	respFound       = 0x86
 	respFindAnalyze = 0x87
 	respStats       = 0x88
-	// respBusy answers an ingest frame the server shed instead of queueing
-	// (bounded per-connection ingest queue full, or an envelope that arrived
-	// ahead of an unacknowledged predecessor). Its payload is a uvarint
-	// retry-after hint in milliseconds; the client keeps the envelope
-	// journaled and replays it after the delay.
-	respBusy = 0x89
 )
 
 // envelopeHeaderBytes is the fixed prefix of every reqEnvelope payload: an
-// 8-byte big-endian client-session ID, an 8-byte big-endian sequence number
-// and the 8-byte big-endian journal head, all assigned by the client.
-// Sequence numbers start at 1 and increment per envelope; the head is the
-// lowest sequence the client still holds unacknowledged when it sends, so
-// head <= sequence. The server applies a session's envelopes in sequence
-// order exactly once (duplicates acknowledge without re-applying, gaps answer
-// busy so the client replays in order); a session it does not know opens at
-// the head, so an envelope that overtook a shed predecessor waits for it.
-const envelopeHeaderBytes = 24
+// 8-byte big-endian client-session ID and an 8-byte big-endian sequence
+// number, both assigned by the client. Sequence numbers start at 1 and
+// increment per envelope; the server applies each sequence at most once per
+// session (see Server.applyEnvelope).
+const envelopeHeaderBytes = 16
 
 // ErrProtocol reports a violation of the framing or handshake rules (bad
 // magic, version mismatch, unknown frame type, oversized frame). Errors wrap

@@ -5,8 +5,8 @@ package rpc
 // with exponential backoff and jitter. While it is down, synchronous calls
 // wait for recovery up to their deadline (the circuit breaker), except once
 // a redial was refused outright — the server is gone, not partitioned —
-// which fails them fast. The same loop also pumps the ingest journal and
-// pings an idle connection.
+// which fails them fast. The same loop is the one goroutine that pumps the
+// ingest journal onto the connection, and it pings an idle connection.
 
 import (
 	"errors"
@@ -85,10 +85,9 @@ func (c *Client) transition(prev, next *clientConn, cause error) {
 }
 
 // maintenanceLoop runs the state machine: on every tick it redials a down
-// connection that is past its backoff, pings an up one that has idled a
-// keepalive interval, and re-pumps the ingest journal (delivering
-// busy-delayed entries that have come due, and anything a fresh connection
-// can now carry).
+// connection that is past its backoff and pings an up one that has idled a
+// keepalive interval; on every tick and every flush's wake-up it pumps the
+// ingest journal.
 func (c *Client) maintenanceLoop() {
 	defer c.bg.Done()
 	t := time.NewTicker(redialTick)
@@ -98,6 +97,7 @@ func (c *Client) maintenanceLoop() {
 		select {
 		case <-c.quit:
 			return
+		case <-c.pumpWake:
 		case now := <-t.C:
 			switch st := c.state(); {
 			case st.cc != nil:
@@ -133,20 +133,17 @@ func (c *Client) redial() {
 	c.mu.Unlock()
 	go cc.readLoop()
 	c.redials.Add(1)
-	c.pumpJournal()
 }
 
 // isTransientErr classifies an exchange or send failure: connection-level
-// I/O errors (resets, timeouts, closed sockets, truncated streams) and busy
-// shedding are retryable on a redialed connection; protocol violations,
+// I/O errors (resets, timeouts, closed sockets, truncated streams) are
+// retryable on a redialed connection; protocol violations,
 // decode desyncs and server rejections are not — retrying a broken peer
 // cannot make it correct.
 func isTransientErr(err error) bool {
 	switch {
 	case err == nil:
 		return false
-	case errors.Is(err, errServerBusy):
-		return true
 	case errors.Is(err, ErrProtocol) || errors.Is(err, ErrClientClosed):
 		return false
 	case errors.Is(err, io.EOF), errors.Is(err, io.ErrUnexpectedEOF),
@@ -162,10 +159,6 @@ func isTransientErr(err error) bool {
 	var oe *net.OpError
 	return errors.As(err, &oe)
 }
-
-// errServerBusy is the client-side form of a busy response to a synchronous
-// call: transient, retried with backoff, never latched.
-var errServerBusy = errors.New("rpc: server busy")
 
 // retryPause is the synchronous-call retry backoff: exponential from
 // retryPauseBase with ±50% jitter, capped well below the redial backoff so a

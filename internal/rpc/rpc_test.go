@@ -60,8 +60,9 @@ func TestQueryResultCodecRoundTrip(t *testing.T) {
 	}
 }
 
-func TestFilterCodecRoundTrip(t *testing.T) {
-	in := backend.Filter{
+// testFilter sets every filter field the codec carries.
+func testFilter() backend.Filter {
+	return backend.Filter{
 		Service:       "checkout",
 		Operation:     "HTTP POST /charge",
 		ErrorsOnly:    true,
@@ -72,6 +73,10 @@ func TestFilterCodecRoundTrip(t *testing.T) {
 		Candidates:    []string{"t1", "t2", "t3"},
 		Limit:         25,
 	}
+}
+
+func TestFilterCodecRoundTrip(t *testing.T) {
+	in := testFilter()
 	d := wire.NewDecoder(appendFilter(nil, in))
 	got := decodeFilter(d)
 	if err := d.Done(); err != nil {
@@ -82,8 +87,9 @@ func TestFilterCodecRoundTrip(t *testing.T) {
 	}
 }
 
-func TestBatchStatsCodecRoundTrip(t *testing.T) {
-	in := &backend.BatchStats{
+// testBatchStats fills every batch-statistics field the codec carries.
+func testBatchStats() *backend.BatchStats {
+	return &backend.BatchStats{
 		Traces: 7,
 		Spans:  40,
 		ByService: map[string]*backend.ServiceStats{
@@ -92,6 +98,10 @@ func TestBatchStatsCodecRoundTrip(t *testing.T) {
 		},
 		Edges: map[string]int{"frontend->cart": 6, "cart->redis": 30},
 	}
+}
+
+func TestBatchStatsCodecRoundTrip(t *testing.T) {
+	in := testBatchStats()
 	d := wire.NewDecoder(appendBatchStats(nil, in))
 	got := decodeBatchStats(d)
 	if err := d.Done(); err != nil {

@@ -28,47 +28,17 @@ const (
 	frameBodyTimeout = 2 * time.Minute
 )
 
-// Overload shedding. Each connection's ingest frames queue on a bounded
-// per-connection queue applied by one worker (preserving arrival order);
-// when the queue is full the reader answers a busy frame instead of
-// blocking or buffering without bound, and the client replays after the
-// hint. A sequence gap (an envelope arriving ahead of an unacknowledged
-// predecessor) earns a shorter hint — its predecessor is usually already in
-// flight.
-const (
-	// IngestQueueDepth is the per-connection bound on ingest frames queued
-	// behind the apply worker.
-	IngestQueueDepth = 32
-	shedRetryAfter   = 25 * time.Millisecond
-	gapRetryAfter    = 10 * time.Millisecond
-)
-
-// ingestQueueDepth is the tunable mirror of IngestQueueDepth for tests that
-// need a tiny queue to provoke shedding deterministically.
-var ingestQueueDepth = IngestQueueDepth
-
-// SetIngestQueueDepthForTest overrides the per-connection ingest queue
-// depth, returning a restore function. Test-only; must not be called while
-// servers are serving.
-func SetIngestQueueDepthForTest(n int) (restore func()) {
-	prev := ingestQueueDepth
-	ingestQueueDepth = n
-	return func() { ingestQueueDepth = prev }
-}
-
 // maxIngestSessions bounds the per-session dedup window map. Sessions are
 // per-client-lifetime, so thousands of live entries mean thousands of live
 // clients; past the bound the least-recently-used session is evicted (its
-// client, if still alive, reopens its window at the journal head its next
-// envelope carries).
+// client, if still alive, reopens its window at sequence 0).
 const maxIngestSessions = 4096
 
 // ingestSession is one client session's exactly-once window: the highest
-// sequence applied, which starts just below the journal head the session's
-// first envelope carries. Envelopes at or below it acknowledge without
-// re-applying; the next sequence applies; anything further ahead answers
-// busy until the gap fills. mu serializes the check-and-apply, so a replayed
-// duplicate racing its original cannot double-apply.
+// sequence applied, 0 for a new session. Envelopes at or below it
+// acknowledge without re-applying; any later one applies. mu serializes the
+// check-and-apply, so a replayed duplicate racing its original on a second
+// connection cannot double-apply.
 type ingestSession struct {
 	mu       sync.Mutex
 	last     uint64
@@ -80,24 +50,19 @@ type ingestSession struct {
 // Tests use it to pin the concurrency structure deterministically.
 var testHookQueryDispatch func(typ byte)
 
-// testHookIngestApply, when set, runs on the ingest worker before each
-// queued frame is applied. Tests use it to hold the worker busy so the
-// reader's shedding is deterministic rather than a matter of timing.
-var testHookIngestApply func()
-
 // Server serves the backend protocol on accepted connections: ingest
 // (sequenced envelopes of coalesced pattern/Bloom/params reports and
 // sampling marks), the query surface, stats and durable flush.
 //
-// Each connection runs a reader goroutine that demultiplexes by request
-// type: ingest frames are applied inline in arrival order (so a
+// Each connection runs one reader goroutine. It applies each ingest
+// envelope itself, answers it, and only then reads the next frame, so a
 // connection's writes land exactly as a serial client would have landed
-// them, and the acknowledgement the client's write barrier waits for means
-// applied, not just received), while queries dispatch to a bounded
-// server-wide worker pool and may answer out of order — a slow cold-storage
-// lookup no longer blocks the pings, marks and fast queries pipelined
-// behind it. Response frames are written atomically under a per-connection
-// write lock.
+// them, the acknowledgement the client's write barrier waits for means
+// applied, and a client that outruns the apply is slowed by TCP flow
+// control. Queries dispatch to a bounded server-wide worker pool and may
+// answer out of order — a slow cold-storage lookup does not block the pings
+// and envelopes pipelined behind it. Response frames are written atomically
+// under a per-connection write lock.
 //
 // The server holds only a *backend.Backend — agents and collectors live on
 // the client side of the wire, exactly as the paper's topology places them
@@ -120,17 +85,16 @@ type Server struct {
 	requests    atomic.Int64
 	inflight    atomic.Int64
 	maxInflight atomic.Int64
-	shed        atomic.Int64
 	dedupHits   atomic.Int64
 	panics      atomic.Int64
 
 	// Self-observability: per-op service-time histograms (indexed by request
-	// type byte), queue-wait histograms per lane, and the slow-op ledger.
+	// type byte), the query lane's queue-wait histogram, and the slow-op
+	// ledger.
 	tel        *telemetry.Registry
 	slow       *telemetry.Ledger
 	opHists    [reqTypeLimit]*telemetry.Histogram
 	opOther    *telemetry.Histogram
-	ingestWait *telemetry.Histogram
 	queryWait  *telemetry.Histogram
 	opObserver func(OpObservation)
 }
@@ -140,8 +104,9 @@ type Server struct {
 const reqTypeLimit = 0x10
 
 // OpObservation describes one served request frame for an external
-// observer: the operation name, how long the frame waited behind its lane's
-// queue, its service (handler) time, and the request payload size.
+// observer: the operation name, how long the frame waited for a query
+// worker (zero for an envelope, which the reader applies itself), its
+// service (handler) time, and the request payload size.
 type OpObservation struct {
 	Op        string
 	QueueWait time.Duration
@@ -149,8 +114,8 @@ type OpObservation struct {
 	Bytes     int
 }
 
-// SetOpObserver installs a callback invoked after every queued request is
-// served (mintd's -self-trace hook). Must be called before Listen/ServeConn;
+// SetOpObserver installs a callback invoked after every envelope and query
+// is served (mintd's -self-trace hook). Must be called before Listen/ServeConn;
 // it is not synchronized with serving.
 func (s *Server) SetOpObserver(fn func(OpObservation)) { s.opObserver = fn }
 
@@ -196,10 +161,9 @@ func (s *Server) opHist(typ byte) *telemetry.Histogram {
 	return s.opOther
 }
 
-// observeOp records one served frame into the histograms, the slow-op
-// ledger and the optional observer.
-func (s *Server) observeOp(typ byte, wait *telemetry.Histogram, queueWait, service time.Duration, bytes int) {
-	wait.Observe(queueWait)
+// observeOp records one served frame into its service-time histogram, the
+// slow-op ledger and the optional observer.
+func (s *Server) observeOp(typ byte, queueWait, service time.Duration, bytes int) {
 	s.opHist(typ).Observe(service)
 	if s.slow.Exceeds(service) {
 		s.slow.Record("rpc-"+opName(typ), "", service, int64(bytes), -1)
@@ -233,15 +197,14 @@ func NewServer(b *backend.Backend) *Server {
 		s.opHists[typ] = s.tel.Histogram("mint_rpc_op_seconds", `op="`+opName(typ)+`"`, opHelp)
 	}
 	s.opOther = s.tel.Histogram("mint_rpc_op_seconds", `op="other"`, opHelp)
-	const waitHelp = "Time a request frame waited behind its lane's queue before its handler ran."
-	s.ingestWait = s.tel.Histogram("mint_rpc_queue_wait_seconds", `lane="ingest"`, waitHelp)
-	s.queryWait = s.tel.Histogram("mint_rpc_queue_wait_seconds", `lane="query"`, waitHelp)
+	s.queryWait = s.tel.Histogram("mint_rpc_queue_wait_seconds", `lane="query"`,
+		"Time a query frame waited for a worker before its handler ran.")
 	return s
 }
 
-// session returns the dedup window for one client session, creating it open
-// just below head and evicting the least-recently-used entry past the bound.
-func (s *Server) session(id, head uint64) *ingestSession {
+// session returns the dedup window for one client session, creating it at
+// sequence 0 and evicting the least-recently-used entry past the bound.
+func (s *Server) session(id uint64) *ingestSession {
 	now := time.Now().UnixNano()
 	s.smu.Lock()
 	defer s.smu.Unlock()
@@ -257,7 +220,7 @@ func (s *Server) session(id, head uint64) *ingestSession {
 			}
 			delete(s.sessions, oldID)
 		}
-		se = &ingestSession{last: head - 1}
+		se = &ingestSession{}
 		s.sessions[id] = se
 	}
 	se.lastUsed.Store(now)
@@ -422,10 +385,6 @@ func (s *Server) Shutdown(timeout time.Duration) error {
 	}
 }
 
-// Shed returns the number of ingest frames answered busy because a
-// connection's ingest queue was full.
-func (s *Server) Shed() int64 { return s.shed.Load() }
-
 // DedupHits returns the number of replayed ingest envelopes acknowledged
 // without re-applying — each one a duplicate the exactly-once window
 // absorbed.
@@ -457,49 +416,14 @@ func (s *Server) Requests() int64 { return s.requests.Load() }
 func (s *Server) MaxInFlight() int64 { return s.maxInflight.Load() }
 
 // serverConn is the per-connection server state: the write lock that keeps
-// concurrently produced response frames atomic on the wire, the bounded
-// ingest queue feeding the apply worker, and the wait group that keeps
-// ServeConn from returning while the worker or dispatched queries still
+// concurrently produced response frames atomic on the wire, and the wait
+// group that keeps ServeConn from returning while dispatched queries still
 // hold the connection.
 type serverConn struct {
-	srv     *Server
-	nc      net.Conn
-	ingestQ chan ingestItem
-	wmu     sync.Mutex
-	wg      sync.WaitGroup
-}
-
-// ingestItem is one queued ingest frame awaiting the apply worker.
-type ingestItem struct {
-	typ byte
-	id  uint64
-	pb  *payloadBuf
-	at  time.Time // enqueue time, for the queue-wait histogram
-}
-
-// ingestWorker applies queued ingest frames in arrival order and answers
-// each after the apply — the acknowledgement the client's write barrier
-// waits for still means applied (and, for envelopes, WAL-buffered), not
-// just received. The worker exits when the reader closes the queue,
-// draining what remains first.
-func (sc *serverConn) ingestWorker() {
-	defer sc.wg.Done()
-	var resp []byte
-	for it := range sc.ingestQ {
-		start := time.Now()
-		wait := start.Sub(it.at)
-		n := len(it.pb.b)
-		if testHookIngestApply != nil {
-			testHookIngestApply()
-		}
-		resp = sc.srv.safeHandle(resp[:0], it.typ, it.id, it.pb.b)
-		putBuf(it.pb)
-		sc.srv.observeOp(it.typ, sc.srv.ingestWait, wait, time.Since(start), n)
-		sc.respond(resp)
-		if cap(resp) > maxRetainedBuf {
-			resp = nil
-		}
-	}
+	srv *Server
+	nc  net.Conn
+	wmu sync.Mutex
+	wg  sync.WaitGroup
 }
 
 // ServeConn handles one connection's handshake and request loop, returning
@@ -535,13 +459,9 @@ func (s *Server) ServeConn(conn net.Conn) {
 	_ = conn.SetReadDeadline(time.Time{})
 	_ = conn.SetWriteDeadline(time.Time{})
 
-	sc := &serverConn{srv: s, nc: conn, ingestQ: make(chan ingestItem, ingestQueueDepth)}
-	sc.wg.Add(1)
-	go sc.ingestWorker()
-	// LIFO: close the queue so the worker drains and exits, then wait for it
-	// (and any dispatched queries), then the outer defer closes the conn.
+	sc := &serverConn{srv: s, nc: conn}
+	// Wait for dispatched queries before the outer defer closes the conn.
 	defer sc.wg.Wait()
-	defer close(sc.ingestQ)
 
 	var rbuf, resp []byte
 	for {
@@ -567,32 +487,21 @@ func (s *Server) ServeConn(conn net.Conn) {
 
 		switch typ {
 		case reqPing:
-			// Pings answer inline: they carry no state, and a ping that
-			// queued behind a full ingest queue would turn the keepalive
-			// into a liveness false-negative exactly when the server is
-			// busiest. Histogram only — no queue, no observer span.
+			// Pings answer inline and carry no state: histogram only, no
+			// observer span.
 			start := time.Now()
 			resp = appendFrame(resp[:0], respOK, id, nil)
 			s.opHist(reqPing).Observe(time.Since(start))
 			sc.respond(resp)
 		case reqEnvelope:
-			// Ingest lane: copy onto the bounded per-connection queue; one
-			// worker applies in arrival order and answers after the apply,
-			// which is what makes the client's write barrier mean "the
-			// server has these reports". A full queue sheds: the frame is
-			// answered busy and the client's journal replays it after the
-			// hint, instead of the reader blocking (head-of-line for the
-			// whole connection) or buffering without bound.
-			pb := getBuf()
-			pb.b = append(pb.b[:0], payload...)
-			select {
-			case sc.ingestQ <- ingestItem{typ: typ, id: id, pb: pb, at: time.Now()}:
-			default:
-				putBuf(pb)
-				s.shed.Add(1)
-				resp = busyFrame(resp[:0], id, shedRetryAfter)
-				sc.respond(resp)
-			}
+			// Ingest lane: apply in arrival order on this reader and answer
+			// after the apply, which is what makes the client's write barrier
+			// mean "the server has these reports". The next frame is read
+			// only after the answer, so TCP flow control paces the client.
+			start := time.Now()
+			resp = s.safeHandle(resp[:0], typ, id, payload)
+			s.observeOp(typ, 0, time.Since(start), len(payload))
+			sc.respond(resp)
 			if cap(resp) > maxRetainedBuf {
 				resp = nil
 			}
@@ -640,12 +549,13 @@ func (s *Server) ServeConn(conn net.Conn) {
 				rb := getBuf()
 				rb.b = s.safeHandle(rb.b[:0], typ, id, pb.b)
 				putBuf(pb)
-				s.observeOp(typ, s.queryWait, start.Sub(enq), time.Since(start), n)
+				s.queryWait.Observe(start.Sub(enq))
+				s.observeOp(typ, start.Sub(enq), time.Since(start), n)
 				sc.respond(rb.b)
 				putBuf(rb)
 			}(typ, id, pb, enq)
 		}
-		// Shed high-water buffers: steady-state frames are small, and one
+		// Drop high-water buffers: steady-state frames are small, and one
 		// huge exchange must not pin its peak allocation per connection.
 		if cap(rbuf) > maxRetainedBuf {
 			rbuf = nil
@@ -683,13 +593,6 @@ func errFrame(dst []byte, id uint64, msg string) []byte {
 	return appendFrame(dst, respErr, id, func(b []byte) []byte { return wire.AppendString(b, msg) })
 }
 
-// busyFrame appends a busy response for request id with a retry-after hint.
-func busyFrame(dst []byte, id uint64, retryAfter time.Duration) []byte {
-	return appendFrame(dst, respBusy, id, func(b []byte) []byte {
-		return binary.AppendUvarint(b, uint64(retryAfter/time.Millisecond))
-	})
-}
-
 // safeHandle is handle behind a panic fence: a handler that panics (a
 // malformed payload tripping an unguarded index, a backend bug) answers an
 // error frame for its own request instead of unwinding the process out from
@@ -705,15 +608,19 @@ func (s *Server) safeHandle(dst []byte, typ byte, id uint64, payload []byte) (re
 }
 
 // applyEnvelope applies one sequenced ingest envelope under its session's
-// exactly-once window: duplicates acknowledge without re-applying, the next
-// sequence applies (then advances the window only after the WAL buffer has
-// the records — an acknowledged envelope survives a crash of this process),
-// and a sequence past the window answers busy until the client fills the
-// gap. A session the server does not know opens its window at the envelope's
-// journal head, so a shed head's pipelined successor cannot open the window
-// past the head and turn the head's replay into a dedup hit. Holding the
-// session lock across the check-and-apply is what makes a replayed
-// duplicate racing its original single-apply.
+// exactly-once window: if seq <= last it acknowledges without applying;
+// otherwise it applies, sets last = seq, and acknowledges once the WAL
+// buffer has the records (an acknowledged envelope survives a crash of this
+// process). The window stays exact because
+//   - the client's pump sends in sequence order;
+//   - each connection's envelopes apply in the order they arrive;
+//   - a new connection's replay starts at the client's journal head;
+//   - every envelope below the head has been acknowledged, and so applied.
+//
+// So last only ever moves to last+1, except past an envelope the client
+// dropped itself. Holding the session lock across the check-and-apply makes
+// a replay on a new connection racing its original on a dying one
+// single-apply.
 func (s *Server) applyEnvelope(dst []byte, id uint64, payload []byte) []byte {
 	if len(payload) < envelopeHeaderBytes {
 		return errFrame(dst, id, fmt.Sprintf("envelope of %d bytes is shorter than its %d-byte header",
@@ -721,19 +628,15 @@ func (s *Server) applyEnvelope(dst []byte, id uint64, payload []byte) []byte {
 	}
 	session := binary.BigEndian.Uint64(payload[:8])
 	seq := binary.BigEndian.Uint64(payload[8:16])
-	head := binary.BigEndian.Uint64(payload[16:24])
-	if session == 0 || seq == 0 || head == 0 || head > seq {
-		return errFrame(dst, id, fmt.Sprintf("bad envelope header: session %d, sequence %d, head %d", session, seq, head))
+	if session == 0 || seq == 0 {
+		return errFrame(dst, id, fmt.Sprintf("bad envelope header: session %d, sequence %d", session, seq))
 	}
-	se := s.session(session, head)
+	se := s.session(session)
 	se.mu.Lock()
 	defer se.mu.Unlock()
-	switch {
-	case seq <= se.last:
+	if seq <= se.last {
 		s.dedupHits.Add(1)
 		return appendFrame(dst, respOK, id, nil)
-	case seq > se.last+1:
-		return busyFrame(dst, id, gapRetryAfter)
 	}
 	err := wire.WalkEnvelope(payload[envelopeHeaderBytes:], s.backend)
 	// Applied (or rejected as malformed — replaying it cannot fix it):

@@ -456,8 +456,6 @@ func (h *HTTPHandler) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		family(w, "mint_rpc_bytes_total", "counter", "RPC transport bytes by direction.")
 		fmt.Fprintf(w, "mint_rpc_bytes_total{direction=\"in\"} %d\n", h.rpcSrv.BytesIn())
 		fmt.Fprintf(w, "mint_rpc_bytes_total{direction=\"out\"} %d\n", h.rpcSrv.BytesOut())
-		family(w, "mint_rpc_ingest_shed_total", "counter", "Ingest frames shed by overload control.")
-		fmt.Fprintf(w, "mint_rpc_ingest_shed_total %d\n", h.rpcSrv.Shed())
 		family(w, "mint_rpc_dedup_hits_total", "counter", "Replayed envelopes suppressed by exactly-once ingest dedup.")
 		fmt.Fprintf(w, "mint_rpc_dedup_hits_total %d\n", h.rpcSrv.DedupHits())
 		family(w, "mint_rpc_ingest_sessions", "gauge", "Live exactly-once ingest sessions.")

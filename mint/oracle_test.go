@@ -462,7 +462,6 @@ type rig struct {
 	back *mint.Cluster // remote: the server's backend cluster
 	addr string        // remote: the server's address, kept across restarts
 	px   *chaos.Proxy
-	shed int64 // remote: envelopes the servers shed, over all restarts
 }
 
 func newRig(tb testing.TB, spec rigSpec, h *history, mutate mutation) *rig {
@@ -505,7 +504,6 @@ func (r *rig) startServer(addr string) {
 }
 
 func (r *rig) stopServer() {
-	r.shed += r.srv.Shed()
 	r.srv.Close()
 	if err := r.back.Close(); err != nil {
 		r.tb.Errorf("%s: close server backend: %v", r.spec.name, err)
@@ -810,18 +808,13 @@ func TestParityOracle(t *testing.T) {
 			}
 		})
 	})
-	t.Run("pinned/remote_shed_head", func(t *testing.T) {
-		// A one-envelope ingest queue sheds, and a shed envelope (the head
-		// of its window included) must be redelivered, not acknowledged.
-		t.Cleanup(rpc.SetIngestQueueDepthForTest(1))
-		// Seal an envelope every few reports, so many are in flight at once.
+	t.Run("pinned/remote_pipelined", func(t *testing.T) {
+		// Seal an envelope every few reports, so many are in flight at once
+		// behind the server's one-at-a-time apply: every one must apply
+		// exactly once, in order.
 		t.Cleanup(rpc.SetTimersForTest(rpc.TestTimers{Flush: 20 * time.Microsecond}))
-		spec := rigSpec{name: "remote_shed", remote: true, cfg: mint.Config{IngestWorkers: 2}}
-		checkHistory(t, genHistory(11, oracleTraces), []rigSpec{serial, spec}, nil, func(rigs []*rig) {
-			if r := rigs[1]; r.shed+r.srv.Shed() == 0 {
-				t.Error("the server never shed an envelope")
-			}
-		})
+		spec := rigSpec{name: "remote_pipelined", remote: true, cfg: mint.Config{IngestWorkers: 2}}
+		checkHistory(t, genHistory(11, oracleTraces), []rigSpec{serial, spec}, nil, nil)
 	})
 
 	// The oracle must catch what it is meant to catch: each mutation
