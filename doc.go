@@ -11,7 +11,9 @@
 // # Scaling the pipeline
 //
 // The ingest path is a concurrent sharded pipeline (Config.Shards,
-// Config.IngestWorkers, Cluster.CaptureAsync/Close) and the read path is an
+// Config.IngestWorkers, Cluster.CaptureAsync/Close) whose collectors apply
+// every report where it is cut, so its byte accounting equals the serial
+// path's exactly, and the read path is an
 // indexed parallel query engine: per-shard Bloom segment indexes, an
 // epoch-invalidated query-result cache (Config.QueryCacheSize), batch
 // lookups on a bounded worker pool (Config.QueryWorkers,

@@ -439,24 +439,46 @@ func (b *Backend) AcceptParams(r *wire.ParamsReport) {
 	}
 }
 
+// applyParams is idempotent: a span whose ID is already stored for its
+// (trace, node) is skipped, so a report delivered twice (an OTLP exporter
+// retrying a POST whose response it lost, a WAL record replayed over a
+// snapshot) stores and answers what one delivery does. A report that adds
+// nothing leaves the shard, its epoch and the WAL untouched.
 func (b *Backend) applyParams(r *wire.ParamsReport, at int64, log bool) {
 	s, idx := b.traceShardIdx(r.TraceID)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	byNode, ok := s.params[r.TraceID]
-	if !ok {
+	byNode := s.params[r.TraceID]
+	spans := byNode[r.Node]
+	stored := len(spans)
+	for _, sp := range r.Spans {
+		if !hasSpan(spans, sp.SpanID) {
+			spans = append(spans, sp)
+			s.storageParams += int64(sp.Size())
+		}
+	}
+	if len(spans) == stored {
+		return
+	}
+	if byNode == nil {
 		byNode = map[string][]*parser.ParsedSpan{}
 		s.params[r.TraceID] = byNode
 	}
-	byNode[r.Node] = append(byNode[r.Node], r.Spans...)
-	for _, sp := range r.Spans {
-		s.storageParams += int64(sp.Size())
-	}
+	byNode[r.Node] = spans
 	s.paramsAt[r.TraceID] = at
 	s.epoch.Add(1)
 	if log && b.persist != nil {
 		b.persist.logLocked(idx, s, recParams, at, func(dst []byte) []byte { return wire.AppendParamsReport(dst, r) })
 	}
+}
+
+func hasSpan(spans []*parser.ParsedSpan, spanID string) bool {
+	for _, sp := range spans {
+		if sp.SpanID == spanID {
+			return true
+		}
+	}
+	return false
 }
 
 // MarkSampled records that a trace was marked sampled (and why).
@@ -583,16 +605,16 @@ func (b *Backend) Query(traceID string) QueryResult {
 		b.observeQuery(traceID, start, false)
 		return res
 	}
-	// Snapshot the epoch vector before reading any store state: if a write
-	// lands anywhere during reconstruction, the entry we record is already
-	// stale under the current vector and will be discarded, never served.
-	ev := b.epochVector()
-	if res, ok := c.get(traceID, ev); ok {
+	// Read the write stamp before any store state: if a write lands anywhere
+	// during reconstruction, the entry we record is already stale under the
+	// current stamp and will be discarded, never served.
+	stamp := b.writeStamp()
+	if res, ok := c.get(traceID, stamp); ok {
 		b.observeQuery(traceID, start, true)
 		return res
 	}
 	res := b.queryUncached(traceID)
-	c.put(traceID, res, ev)
+	c.put(traceID, res, stamp)
 	b.observeQuery(traceID, start, false)
 	return res
 }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/agent"
 	"repro/internal/bloom"
+	"repro/internal/parser"
 	"repro/internal/topo"
 	"repro/internal/trace"
 	"repro/internal/wire"
@@ -118,6 +119,69 @@ func TestQueryExactHitAfterParams(t *testing.T) {
 	}
 	if got.Duration != 2987 {
 		t.Fatalf("duration = %d", got.Duration)
+	}
+}
+
+// TestParamsApplyIsIdempotent: a span already stored for its (trace, node)
+// is not stored again, whether it comes back in a later report or twice in
+// one, and a report that adds nothing leaves the shard and its WAL alone.
+func TestParamsApplyIsIdempotent(t *testing.T) {
+	dir := t.TempDir()
+	b := New(0)
+	if err := b.OpenPersistence(PersistConfig{Dir: dir}); err != nil {
+		t.Fatal(err)
+	}
+	span := func(id string) *parser.ParsedSpan {
+		return &parser.ParsedSpan{PatternID: "sp", TraceID: "tr", SpanID: id, AttrParams: [][]string{{id}}}
+	}
+	report := func(ids ...string) *wire.ParamsReport {
+		r := &wire.ParamsReport{Node: "n1", TraceID: "tr"}
+		for _, id := range ids {
+			r.Spans = append(r.Spans, span(id))
+		}
+		return r
+	}
+	s := b.shards[0]
+	type state struct {
+		spans, bytes, at, epoch, wal int64
+	}
+	now := func() state {
+		w := b.persist.wals[0]
+		w.mu.Lock()
+		defer w.mu.Unlock()
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return state{int64(len(s.params["tr"]["n1"])), s.storageParams, s.paramsAt["tr"], int64(s.epoch.Load()), w.bytes}
+	}
+	clock := int64(1)
+	b.SetTimeSource(func() int64 { return clock })
+
+	b.AcceptParams(report("a", "b", "a"))
+	first := now()
+	if want := int64(span("a").Size() + span("b").Size()); first.spans != 2 || first.bytes != want {
+		t.Fatalf("report with a repeated span stored %d spans in %d B, want 2 in %d B", first.spans, first.bytes, want)
+	}
+	clock++
+	b.AcceptParams(report("b", "a"))
+	if got := now(); got != first {
+		t.Fatalf("a report of stored spans changed the shard: %+v, was %+v", got, first)
+	}
+	b.AcceptParams(report("b", "c"))
+	if got := now(); got.spans != 3 || got.bytes != first.bytes+int64(span("c").Size()) || got.at != clock ||
+		got.epoch == first.epoch || got.wal == first.wal {
+		t.Fatalf("a report adding one span left %+v, was %+v", got, first)
+	}
+	want := now()
+	if err := b.ClosePersistence(); err != nil {
+		t.Fatal(err)
+	}
+	reopened := New(0)
+	if err := reopened.OpenPersistence(PersistConfig{Dir: dir}); err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.ClosePersistence()
+	if _, _, _, params := reopened.StorageBytes(); params != want.bytes {
+		t.Fatalf("reopened store holds %d params bytes, want %d", params, want.bytes)
 	}
 }
 

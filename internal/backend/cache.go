@@ -12,12 +12,12 @@ import (
 // traces — incident IDs pasted into dashboards, repeated BatchQuery sets —
 // are re-reconstructed from identical state. The cache keeps recent
 // QueryResults keyed by trace ID and validates each entry against the
-// backend's epoch vector (see index.go): the entry was recorded together
-// with the vector observed *before* reconstruction, so it is served again
+// backend's write stamp (see index.go): the entry was recorded together
+// with the stamp observed *before* reconstruction, so it is served again
 // only while no shard has accepted any write since. A write anywhere bumps
-// its shard's epoch and silently invalidates every entry recorded under the
-// old vector — a cached result is never served after a write that could
-// affect it.
+// its shard's epoch, and with it the stamp, and silently invalidates every
+// entry recorded under the old stamp — a cached result is never served
+// after a write that could affect it.
 //
 // Cached traces are shared: callers of Query on a cache-enabled backend must
 // treat the returned Trace as read-only (every mint.Cluster analysis path
@@ -30,7 +30,7 @@ const DefaultQueryCacheSize = 4096
 type cacheEntry struct {
 	traceID string
 	res     QueryResult
-	epochs  []uint64
+	stamp   uint64
 }
 
 // queryCache is a mutex-guarded LRU of epoch-stamped query results.
@@ -39,12 +39,12 @@ type queryCache struct {
 	cap  int
 	lru  *list.List // front = most recently used; values are *cacheEntry
 	byID map[string]*list.Element
-	// vec is the epoch vector of the current cache generation. An entry is
-	// servable only when its stamp equals the live vector, so as soon as a
-	// lookup observes a new vector the entire previous generation is dead
+	// stamp is the write stamp of the current cache generation. An entry is
+	// servable only when its stamp equals the live one, so as soon as a
+	// lookup observes a new stamp the entire previous generation is dead
 	// weight; sync drops it wholesale instead of letting unreclaimable
 	// Traces linger until each ID happens to be re-queried.
-	vec []uint64
+	stamp uint64
 
 	hits, misses, stale uint64
 }
@@ -56,31 +56,31 @@ func newQueryCache(capacity int) *queryCache {
 	return &queryCache{cap: capacity, lru: list.New(), byID: map[string]*list.Element{}}
 }
 
-// sync advances the cache to the observed epoch vector, clearing every
+// sync advances the cache to the observed write stamp, clearing every
 // entry of the previous generation. Caller holds c.mu.
-func (c *queryCache) sync(epochs []uint64) {
-	if epochsEqual(c.vec, epochs) {
+func (c *queryCache) sync(stamp uint64) {
+	if c.stamp == stamp {
 		return
 	}
 	c.stale += uint64(len(c.byID))
 	c.lru.Init()
 	clear(c.byID)
-	c.vec = append(c.vec[:0], epochs...)
+	c.stamp = stamp
 }
 
 // get returns the cached result for traceID if it was recorded under the
-// current epoch vector.
-func (c *queryCache) get(traceID string, epochs []uint64) (QueryResult, bool) {
+// current write stamp.
+func (c *queryCache) get(traceID string, stamp uint64) (QueryResult, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.sync(epochs)
+	c.sync(stamp)
 	el, ok := c.byID[traceID]
 	if !ok {
 		c.misses++
 		return QueryResult{}, false
 	}
 	e := el.Value.(*cacheEntry)
-	if !epochsEqual(e.epochs, epochs) {
+	if e.stamp != stamp {
 		// A put that raced a write landed in the wrong generation.
 		c.lru.Remove(el)
 		delete(c.byID, traceID)
@@ -93,19 +93,19 @@ func (c *queryCache) get(traceID string, epochs []uint64) (QueryResult, bool) {
 	return e.res, true
 }
 
-// put records a result under the epoch vector observed before it was
+// put records a result under the write stamp observed before it was
 // computed; if a write raced the reconstruction, the entry is already stale
 // and the next lookup discards it.
-func (c *queryCache) put(traceID string, res QueryResult, epochs []uint64) {
+func (c *queryCache) put(traceID string, res QueryResult, stamp uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.byID[traceID]; ok {
 		e := el.Value.(*cacheEntry)
-		e.res, e.epochs = res, epochs
+		e.res, e.stamp = res, stamp
 		c.lru.MoveToFront(el)
 		return
 	}
-	c.byID[traceID] = c.lru.PushFront(&cacheEntry{traceID: traceID, res: res, epochs: epochs})
+	c.byID[traceID] = c.lru.PushFront(&cacheEntry{traceID: traceID, res: res, stamp: stamp})
 	for c.lru.Len() > c.cap {
 		back := c.lru.Back()
 		c.lru.Remove(back)

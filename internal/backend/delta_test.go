@@ -4,10 +4,9 @@ package backend_test
 // its previous periodic upload ends up holding what a store fed the whole
 // filter every time would hold. The whole-snapshot store is an oracle written
 // here, from filters it fills itself; the stores under test sit behind real
-// agents and collectors, in every deployment shape: inline and through the
-// async reporter, memory-only and durable (then reopened, then reopened with
-// another shard count), local and behind the rpc transport with a
-// fault-injecting proxy in the path, where envelopes are cut off and
+// agents and collectors, in every deployment shape: memory-only and durable
+// (then reopened, then reopened with another shard count), local and behind
+// the rpc transport with a fault-injecting proxy in the path, where envelopes are cut off and
 // redelivered and a delta must still be applied exactly once.
 
 import (
@@ -93,14 +92,13 @@ func deltaSubTrace(op deltaOp) *trace.SubTrace {
 type deltaRig struct {
 	name    string
 	sink    collector.Sink
-	async   bool
 	meter   *wire.Meter
 	cols    map[string]*collector.Collector
 	barrier func() error // after a flush-all: everything sent is applied, and durable where the store is
 }
 
-func newDeltaRig(name string, sink collector.Sink, async bool, barrier func() error) *deltaRig {
-	r := &deltaRig{name: name, sink: sink, async: async, meter: wire.NewMeter(),
+func newDeltaRig(name string, sink collector.Sink, barrier func() error) *deltaRig {
+	r := &deltaRig{name: name, sink: sink, meter: wire.NewMeter(),
 		cols: map[string]*collector.Collector{}, barrier: barrier}
 	for _, n := range deltaNodes {
 		r.start(n)
@@ -110,11 +108,7 @@ func newDeltaRig(name string, sink collector.Sink, async bool, barrier func() er
 
 func (r *deltaRig) start(node string) {
 	a := agent.New(node, agent.Config{DisableSamplers: true, BloomBufBytes: deltaBufBytes})
-	if r.async {
-		r.cols[node] = collector.NewAsync(a, r.sink, r.meter, 8, 4)
-	} else {
-		r.cols[node] = collector.New(a, r.sink, r.meter)
-	}
+	r.cols[node] = collector.New(a, r.sink, r.meter)
 }
 
 // apply runs one op and returns, for a mount, the topo pattern it matched.
@@ -128,17 +122,13 @@ func (r *deltaRig) apply(t *testing.T, op deltaOp) string {
 		for _, n := range deltaNodes {
 			r.cols[n].FlushPatterns()
 		}
-		for _, n := range deltaNodes {
-			r.cols[n].SyncReports()
-		}
 		if r.barrier != nil {
 			if err := r.barrier(); err != nil {
 				t.Fatalf("%s: barrier: %v", r.name, err)
 			}
 		}
 	case opRestart:
-		r.cols[op.node].Close() // what the collector had already sent still arrives
-		r.start(op.node)
+		r.start(op.node) // what the old collector had already sent stays sent
 	}
 	return ""
 }
@@ -382,9 +372,8 @@ func runDeltaHistory(t *testing.T, seed int64) {
 	history := genDeltaHistory(seed, 1200)
 	oracle := newDeltaOracle()
 
-	// Inline and through the async reporter, one shard and several.
+	// Inline, one shard.
 	syncStore := backend.New(0)
-	asyncStore := backend.NewSharded(0, 4)
 
 	// Durable, with compactions falling inside the history.
 	dir := t.TempDir()
@@ -424,12 +413,11 @@ func runDeltaHistory(t *testing.T, seed int64) {
 	defer cli.Close()
 
 	rigs := []*deltaRig{
-		newDeltaRig("sync", syncStore, false, nil),
-		newDeltaRig("async", asyncStore, true, nil),
-		newDeltaRig("durable", durable, false, durable.FlushPersistence),
-		newDeltaRig("remote", cli, false, nil),
+		newDeltaRig("sync", syncStore, nil),
+		newDeltaRig("durable", durable, durable.FlushPersistence),
+		newDeltaRig("remote", cli, nil),
 	}
-	stores := []*backend.Backend{syncStore, asyncStore, durable, remoteStore}
+	stores := []*backend.Backend{syncStore, durable, remoteStore}
 
 	var probes []string
 	for i, op := range history {
@@ -451,7 +439,7 @@ func runDeltaHistory(t *testing.T, seed int64) {
 	}
 	px.Calm()
 	final := deltaOp{kind: opFlushAll}
-	rigs[3].barrier = cli.FlushPersistence
+	rigs[2].barrier = cli.FlushPersistence
 	for _, r := range rigs {
 		r.apply(t, final)
 	}
@@ -492,7 +480,7 @@ func runDeltaHistory(t *testing.T, seed int64) {
 	// The same reports cost the same bytes wherever they go, and never more
 	// than the whole filters would have.
 	sent := rigs[0].meter.ByKind("bloom")
-	for _, r := range []*deltaRig{rigs[2], rigs[3]} {
+	for _, r := range rigs[1:] {
 		if got := r.meter.ByKind("bloom"); got != sent {
 			t.Fatalf("%s metered %d Bloom bytes, the inline rig %d", r.name, got, sent)
 		}
@@ -530,54 +518,49 @@ func (s slowDeltaSink) AcceptBloom(r *wire.BloomReport, immutable bool) {
 // TestDeltaNeverOvertakesItsFill: periodic uploads racing ingest. A delta cut
 // before a filter fills holds IDs the full filter also holds; applied after
 // the full filter it would start a second segment for them. Deltas and full
-// filters are cut and sent under one lock, so whatever the interleaving the
-// store counts every ID once, in as many segments as whole-snapshot uploads
-// leave. The sink dawdles over every delta, which is when a fill would slip
-// past it. Run with -race.
+// filters are cut and handed to the sink under one lock, so whatever the
+// interleaving the store counts every ID once, in as many segments as
+// whole-snapshot uploads leave. The sink dawdles over every delta, which is
+// when a fill would slip past it. Run with -race.
 func TestDeltaNeverOvertakesItsFill(t *testing.T) {
 	const mounts = 2000
-	for _, async := range []bool{false, true} {
-		store := backend.NewSharded(0, 2)
-		rig := newDeltaRig(fmt.Sprintf("async=%v", async), slowDeltaSink{store}, async, nil)
-		col := rig.cols["n1"]
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			for i := 0; i < mounts; i++ {
-				col.Ingest(deltaSubTrace(deltaOp{node: "n1", id: fmt.Sprintf("t%d", i)}))
-			}
-		}()
-		for flushing := true; flushing; {
-			select {
-			case <-done:
-				flushing = false
-			default:
-			}
-			col.FlushPatterns()
-		}
-		col.SyncReports()
-
-		capacity := bloom.New(deltaBufBytes, bloom.DefaultFPP).Capacity()
-		segs := store.DumpSegments()
-		if want := (mounts + capacity - 1) / capacity; len(segs) != want {
-			t.Fatalf("%s: %d segments for %d IDs in filters of %d, want %d", rig.name, len(segs), mounts, capacity, want)
-		}
-		ids := 0
-		for _, s := range segs {
-			f, err := bloom.Unmarshal(s.Filter)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ids += f.Count()
-		}
-		if ids != mounts {
-			t.Fatalf("%s: the segments count %d IDs, %d were mounted", rig.name, ids, mounts)
-		}
+	store := backend.NewSharded(0, 2)
+	col := newDeltaRig("inline", slowDeltaSink{store}, nil).cols["n1"]
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
 		for i := 0; i < mounts; i++ {
-			if store.Query(fmt.Sprintf("t%d", i)).Kind == backend.Miss {
-				t.Fatalf("%s: t%d misses", rig.name, i)
-			}
+			col.Ingest(deltaSubTrace(deltaOp{node: "n1", id: fmt.Sprintf("t%d", i)}))
 		}
-		col.Close()
+	}()
+	for flushing := true; flushing; {
+		select {
+		case <-done:
+			flushing = false
+		default:
+		}
+		col.FlushPatterns()
+	}
+
+	capacity := bloom.New(deltaBufBytes, bloom.DefaultFPP).Capacity()
+	segs := store.DumpSegments()
+	if want := (mounts + capacity - 1) / capacity; len(segs) != want {
+		t.Fatalf("%d segments for %d IDs in filters of %d, want %d", len(segs), mounts, capacity, want)
+	}
+	ids := 0
+	for _, s := range segs {
+		f, err := bloom.Unmarshal(s.Filter)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids += f.Count()
+	}
+	if ids != mounts {
+		t.Fatalf("the segments count %d IDs, %d were mounted", ids, mounts)
+	}
+	for i := 0; i < mounts; i++ {
+		if store.Query(fmt.Sprintf("t%d", i)).Kind == backend.Miss {
+			t.Fatalf("t%d misses", i)
+		}
 	}
 }

@@ -14,9 +14,11 @@ import "repro/internal/intern"
 //
 // Every shard also carries a write epoch: a lock-free counter bumped by any
 // mutation that could change a query answer (new pattern, new/replaced Bloom
-// segment, new params, new sampled mark). The vector of all shard epochs is
-// a consistency token: a snapshot (for example a cached QueryResult) taken
-// at epoch vector E is still exact iff the current vector equals E.
+// segment, new params, new sampled mark). The sum of all shard epochs, the
+// write stamp, is a consistency token: a snapshot (for example a cached
+// QueryResult) taken at stamp E is still exact iff the current stamp equals
+// E. Each epoch only grows and a later read of a shard never sees less than
+// an earlier one, so two equal sums mean every shard's epoch is unchanged.
 
 // hit identifies one (node, pattern) pair whose Bloom filter claimed a trace
 // ID during a probe. It carries both the resolved strings (for the querier's
@@ -76,27 +78,11 @@ func (s *shard) probePatterns(traceID string, patterns map[intern.Sym]bool) bool
 	return false
 }
 
-// epochVector snapshots every shard's write epoch without taking locks.
-func (b *Backend) epochVector() []uint64 {
-	ev := make([]uint64, len(b.shards))
-	for i, s := range b.shards {
-		ev[i] = s.epoch.Load()
+// writeStamp sums every shard's write epoch without taking locks.
+func (b *Backend) writeStamp() uint64 {
+	var sum uint64
+	for _, s := range b.shards {
+		sum += s.epoch.Load()
 	}
-	return ev
-}
-
-// Epochs exposes the current per-shard write-epoch vector (diagnostics and
-// cache-consistency tests).
-func (b *Backend) Epochs() []uint64 { return b.epochVector() }
-
-func epochsEqual(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return sum
 }

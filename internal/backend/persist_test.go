@@ -434,7 +434,6 @@ func TestRetentionSweep(t *testing.T) {
 	b.SetRetentionTTL(ttl)
 
 	seedStore(b) // everything stamped at t0
-	epochsBefore := b.Epochs()
 
 	// Advance past the TTL and add fresh data the sweep must keep.
 	clock += int64(ttl) + 1
@@ -443,6 +442,7 @@ func TestRetentionSweep(t *testing.T) {
 	freshFilter.Add("tr-fresh-approx")
 	b.AcceptBloom(&wire.BloomReport{Node: "n1", PatternID: "tp1", Filter: freshFilter, Full: true}, true)
 
+	stampBefore := b.writeStamp()
 	dropped := b.SweepExpired()
 	if dropped == 0 {
 		t.Fatal("sweep dropped nothing")
@@ -476,8 +476,8 @@ func TestRetentionSweep(t *testing.T) {
 	if want := int64(freshFilter.MarshaledSize()); blooms != want {
 		t.Fatalf("bloom storage after sweep: %d, want %d", blooms, want)
 	}
-	// Epochs advanced so cached answers cannot survive the sweep.
-	if epochsEqual(epochsBefore, b.Epochs()) {
+	// The write stamp advanced so cached answers cannot survive the sweep.
+	if b.writeStamp() == stampBefore {
 		t.Fatal("sweep did not advance epochs")
 	}
 	// A second sweep with nothing expired is a no-op.

@@ -206,7 +206,7 @@ func (f *Filter) Reset() {
 // Snapshot returns a copy of the filter that shares no state with it. Its
 // encoded size is computed here, once (or taken over, where f already knows
 // its own), so every later MarshaledSize call on the copy (the meter, the
-// batch envelope, the storage accounting) is a field read.
+// rpc envelope, the storage accounting) is a field read.
 func (f *Filter) Snapshot() *Filter {
 	c := f.emptyLike()
 	copy(c.bits, f.bits)

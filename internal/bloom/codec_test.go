@@ -116,7 +116,7 @@ func TestRoundTripKeepsConfiguredCapacity(t *testing.T) {
 }
 
 // The size is worked out once per snapshot (and known for free after a
-// decode); the meter, the batch envelope and the storage accounting then
+// decode); the meter, the rpc envelope and the storage accounting then
 // each read it. A live filter never serves a stale size.
 func TestMarshaledSizeCachedPerSnapshot(t *testing.T) {
 	live := filled(NewDefault(), 3)

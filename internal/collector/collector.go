@@ -3,11 +3,8 @@
 // reports Bloom filters when they reach their size limit, and uploads a
 // sampled trace's parameters from every host when notified by the backend.
 //
-// A collector is safe for concurrent Ingest. Reporting runs in one of two
-// modes: synchronous (every report is metered and applied to the backend
-// inline, the seed behavior) or asynchronous (reports are enqueued to a
-// bounded Reporter that coalesces them into wire.Batch envelopes, with
-// back-pressure instead of drops).
+// A collector is safe for concurrent Ingest. Every report is metered and
+// applied to the backend inline, on the goroutine that cut it.
 package collector
 
 import (
@@ -22,8 +19,8 @@ import (
 // Sink is where a collector's reports land: the backend's report-accepting
 // surface, satisfied both by the in-process *backend.Backend and by the RPC
 // client that ships the same reports to a remote mintd. Implementations
-// must be safe for concurrent use; collectors report from ingest goroutines
-// and async reporter workers alike.
+// must be safe for concurrent use; collectors report from every ingest
+// goroutine.
 type Sink interface {
 	// AcceptPatterns applies a pattern report.
 	AcceptPatterns(r *wire.PatternReport)
@@ -38,59 +35,38 @@ type Sink interface {
 	MarkSampled(traceID, reason string)
 }
 
-// BatchSink is optionally implemented by sinks that can apply a whole
-// coalesced wire.Batch in one exchange — the remote transport implements it
-// to ship one frame per batch instead of one round-trip per report. Sinks
-// without it (the in-process backend) receive the batched reports one by
-// one, which is equivalent: the envelope only exists to amortize framing.
-type BatchSink interface {
-	Sink
-	// AcceptBatch applies every report in the batch, in order.
-	AcceptBatch(b *wire.Batch)
-}
-
 // Collector wires one agent to the backend and meters every byte it sends.
 type Collector struct {
-	agent    *agent.Agent
-	backend  Sink
-	meter    *wire.Meter
-	reporter *Reporter // nil in synchronous mode
+	agent   *agent.Agent
+	backend Sink
+	meter   *wire.Meter
 
 	mu       sync.Mutex
 	notified map[string]bool // traces whose params this host already reported
 }
 
-// New creates a synchronous collector for an agent. Bloom-full events are
-// wired to immediate reports, matching the paper's "immediately reports
-// Bloom Filters once they reach their size limit".
+// New creates a collector for an agent. Bloom-full events are wired to
+// immediate reports, matching the paper's "immediately reports Bloom Filters
+// once they reach their size limit".
 func New(a *agent.Agent, b Sink, m *wire.Meter) *Collector {
-	return newCollector(a, b, m, nil)
-}
-
-// NewAsync creates a collector whose reporting runs on a Reporter worker
-// with the given queue depth and batch size (<= 0 takes the defaults).
-// Callers must Close the collector to drain the queue.
-func NewAsync(a *agent.Agent, b Sink, m *wire.Meter, queueLen, batchMax int) *Collector {
-	return newCollector(a, b, m, NewReporter(a.Node, b, m, queueLen, batchMax))
-}
-
-func newCollector(a *agent.Agent, b Sink, m *wire.Meter, rep *Reporter) *Collector {
-	c := &Collector{agent: a, backend: b, meter: m, reporter: rep, notified: map[string]bool{}}
+	c := &Collector{agent: a, backend: b, meter: m, notified: map[string]bool{}}
 	a.OnBloomFull(func(patternID string, f *bloom.Filter) {
 		c.send(&wire.BloomReport{Node: a.Node, PatternID: patternID, Filter: f, Full: true})
 	})
 	return c
 }
 
-// send routes one report either through the async reporter (which meters the
-// amortized batch size) or inline.
+// send meters one report and applies it to the backend.
 func (c *Collector) send(msg wire.Message) {
-	if c.reporter != nil {
-		c.reporter.Enqueue(msg)
-		return
-	}
 	c.meter.Record(c.agent.Node, msg)
-	deliver(c.backend, msg)
+	switch m := msg.(type) {
+	case *wire.PatternReport:
+		c.backend.AcceptPatterns(m)
+	case *wire.BloomReport:
+		c.backend.AcceptBloom(m, m.Full)
+	case *wire.ParamsReport:
+		c.backend.AcceptParams(m)
+	}
 }
 
 // Ingest passes a sub-trace to the agent and propagates any sampling
@@ -133,22 +109,6 @@ func (c *Collector) ReportSampled(traceID string) {
 		return
 	}
 	c.send(&wire.ParamsReport{Node: c.agent.Node, TraceID: traceID, Spans: spans})
-}
-
-// SyncReports blocks until every report enqueued so far has reached the
-// backend. A no-op in synchronous mode.
-func (c *Collector) SyncReports() {
-	if c.reporter != nil {
-		c.reporter.Flush()
-	}
-}
-
-// Close drains and stops the async reporter, if any. The collector remains
-// usable afterwards in degraded synchronous mode.
-func (c *Collector) Close() {
-	if c.reporter != nil {
-		c.reporter.Close()
-	}
 }
 
 // Agent returns the wrapped agent.

@@ -91,54 +91,6 @@ func TestIngestPropagatesSamplesToBackend(t *testing.T) {
 	}
 }
 
-func TestAsyncReportingDeliversEverything(t *testing.T) {
-	a := agent.New("n1", agent.Config{})
-	b := backend.NewSharded(0, 4)
-	m := wire.NewMeter()
-	c := NewAsync(a, b, m, 8, 4)
-	defer c.Close()
-
-	const n = 50
-	for i := 0; i < n; i++ {
-		c.Ingest(st(fmt.Sprintf("a%d", i), 1000, trace.StatusOK))
-	}
-	c.FlushPatterns()
-	c.ReportSampled("a0")
-	c.SyncReports()
-
-	if b.SpanPatternCount() == 0 || b.TopoPatternCount() == 0 {
-		t.Fatal("async flush must deliver patterns")
-	}
-	if m.ByKind("params") <= 0 {
-		t.Fatal("async params upload must be metered")
-	}
-	b.MarkSampled("a0", "test")
-	if r := b.Query("a0"); r.Kind != backend.ExactHit {
-		t.Fatalf("sampled trace should query exact after SyncReports, got %v", r.Kind)
-	}
-}
-
-func TestAsyncCloseDrainsAndFallsBackToSync(t *testing.T) {
-	a := agent.New("n1", agent.Config{})
-	b := backend.New(0)
-	m := wire.NewMeter()
-	c := NewAsync(a, b, m, 4, 2)
-	c.Ingest(st("t1", 1000, trace.StatusOK))
-	c.FlushPatterns()
-	c.Close()
-	if b.SpanPatternCount() == 0 {
-		t.Fatal("Close must drain queued reports")
-	}
-	// After Close the collector keeps working in synchronous mode.
-	c.Ingest(st("t2", 1000, trace.StatusOK))
-	c.ReportSampled("t2")
-	b.MarkSampled("t2", "test")
-	if r := b.Query("t2"); r.Kind != backend.ExactHit {
-		t.Fatalf("post-Close report must deliver synchronously, got %v", r.Kind)
-	}
-	c.Close() // idempotent
-}
-
 func TestBloomFullImmediateReport(t *testing.T) {
 	c, _, m := newStack(64) // tiny filters fill fast
 	n := 200

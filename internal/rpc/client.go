@@ -22,8 +22,8 @@ import (
 var ErrClientClosed = errors.New("rpc: client closed")
 
 // Client is one multiplexed connection to a mintd backend server. It
-// implements collector.Sink (and its batch extension), so collectors and
-// async reporters ship their reports over it unchanged, and the query
+// implements collector.Sink, so collectors ship their reports over it
+// unchanged, and the query
 // surface the mint.Cluster read path uses (Query, QueryMany, BatchQuery,
 // FindTraces, FindAnalyze, Stats), which is how mint.Dial hands back a
 // Cluster-compatible remote handle.
@@ -869,26 +869,6 @@ func (c *Client) flushOpsLocked() {
 	case c.pumpWake <- struct{}{}:
 	default: // a wake-up is already pending
 	}
-}
-
-// AcceptBatch coalesces one report batch into the ingest envelope — the
-// remote form of the async reporter's amortized delivery.
-func (c *Client) AcceptBatch(b *wire.Batch) {
-	c.coalesce(func(dst []byte) []byte {
-		for _, msg := range b.Reports {
-			switch m := msg.(type) {
-			case *wire.PatternReport:
-				dst = wire.AppendPatternOp(dst, m)
-			case *wire.BloomReport:
-				dst = wire.AppendBloomOp(dst, m)
-			case *wire.ParamsReport:
-				dst = wire.AppendParamsOp(dst, m)
-			default:
-				panic(fmt.Sprintf("rpc: batch cannot carry %T", msg))
-			}
-		}
-		return dst
-	})
 }
 
 // AcceptPatterns coalesces one pattern report.

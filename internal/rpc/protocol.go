@@ -8,9 +8,8 @@
 //
 // The Server side hosts a *backend.Backend — typically the sharded, durable
 // backend inside a mintd daemon. The Client side is one multiplexed
-// connection; it implements collector.Sink, so the existing agents,
-// collectors and async reporters ship their reports to a remote backend with
-// no changes to the ingest pipeline, and it implements the query surface the
+// connection; it implements collector.Sink, so the existing agents and
+// collectors ship their reports to a remote backend with no changes to the ingest pipeline, and it implements the query surface the
 // mint.Cluster read path uses, which is how mint.Dial returns a
 // Cluster-compatible remote handle.
 //

@@ -103,45 +103,6 @@ func (n *SampleNotice) Size() int { return headerBytes + len(n.TraceID) + len(n.
 // Kind implements Message.
 func (n *SampleNotice) Kind() string { return "notice" }
 
-// Batch is the coalescing envelope of the async reporting pipeline: the
-// pattern, Bloom and params reports a collector accumulated during one flush
-// interval, framed once. Its size is the amortized encoded size — one
-// protocol header for the whole batch plus each report's payload (its Size()
-// minus the per-message header it would have cost sent alone) — replacing
-// the one-message-per-report accounting of the synchronous path.
-type Batch struct {
-	Node    string
-	Reports []Message
-}
-
-// Append adds a report to the batch.
-func (b *Batch) Append(msg Message) { b.Reports = append(b.Reports, msg) }
-
-// Len returns the number of coalesced reports.
-func (b *Batch) Len() int { return len(b.Reports) }
-
-// Reset empties the batch for reuse, keeping the reports slice's capacity.
-// Async reporters recycle one envelope per flush cycle instead of
-// allocating a fresh one per delivery.
-func (b *Batch) Reset() {
-	for i := range b.Reports {
-		b.Reports[i] = nil // release the delivered reports for collection
-	}
-	b.Reports = b.Reports[:0]
-}
-
-// Size implements Message: one header plus the headerless payload sizes.
-func (b *Batch) Size() int {
-	n := headerBytes + len(b.Node)
-	for _, msg := range b.Reports {
-		n += msg.Size() - headerBytes
-	}
-	return n
-}
-
-// Kind implements Message.
-func (b *Batch) Kind() string { return "batch" }
-
 // RawSpanReport is what baseline frameworks send: serialized raw spans.
 type RawSpanReport struct {
 	Node  string
@@ -175,26 +136,6 @@ func (m *Meter) Record(node string, msg Message) {
 	m.total += sz
 	m.byNode[node] += sz
 	m.byKind[msg.Kind()] += sz
-}
-
-// RecordBatch accounts one batch envelope sent by node. The coalesced
-// reports' payload bytes are attributed to their own kinds (so per-kind
-// accounting stays comparable to the synchronous path) and the shared
-// framing — one header instead of one per report — under kind "batch". The
-// recorded total equals b.Size() exactly.
-func (m *Meter) RecordBatch(node string, b *Batch) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	total := int64(b.Size())
-	framing := total
-	for _, msg := range b.Reports {
-		payload := int64(msg.Size() - headerBytes)
-		m.byKind[msg.Kind()] += payload
-		framing -= payload
-	}
-	m.byKind["batch"] += framing
-	m.total += total
-	m.byNode[node] += total
 }
 
 // Total returns the total bytes recorded.

@@ -79,64 +79,6 @@ func TestMeterAccounting(t *testing.T) {
 	}
 }
 
-func TestBatchAmortizesFraming(t *testing.T) {
-	reports := []Message{
-		&RawSpanReport{Node: "n", Bytes: 100},
-		&SampleNotice{TraceID: "t", Reason: "r"},
-		&ParamsReport{Node: "n", TraceID: "t", Spans: []*parser.ParsedSpan{{PatternID: "p"}}},
-	}
-	b := &Batch{Node: "n"}
-	sum := 0
-	for _, m := range reports {
-		b.Append(m)
-		sum += m.Size()
-	}
-	if b.Len() != len(reports) {
-		t.Fatalf("Len = %d, want %d", b.Len(), len(reports))
-	}
-	if b.Kind() != "batch" {
-		t.Fatalf("Kind = %q", b.Kind())
-	}
-	// One header for the whole envelope instead of one per report: the batch
-	// must be smaller than the sum of individually framed messages.
-	if b.Size() >= sum {
-		t.Fatalf("batch size %d must amortize framing below the %d bytes of separate sends", b.Size(), sum)
-	}
-	want := headerBytes + len(b.Node) + (sum - len(reports)*headerBytes)
-	if b.Size() != want {
-		t.Fatalf("batch size = %d, want %d", b.Size(), want)
-	}
-}
-
-func TestRecordBatchAccounting(t *testing.T) {
-	m := NewMeter()
-	b := &Batch{Node: "n"}
-	b.Append(&RawSpanReport{Node: "n", Bytes: 100})
-	b.Append(&SampleNotice{TraceID: "t", Reason: "r"})
-	m.RecordBatch("n", b)
-
-	if got := m.Total(); got != int64(b.Size()) {
-		t.Fatalf("total = %d, want batch size %d", got, b.Size())
-	}
-	if m.ByNode("n") != int64(b.Size()) {
-		t.Fatal("batch bytes must be attributed to the sending node")
-	}
-	// Payloads land under the report kinds, framing under "batch".
-	if m.ByKind("raw") != int64(100+1) { // Bytes + len(Node) payload
-		t.Fatalf("raw payload = %d", m.ByKind("raw"))
-	}
-	if m.ByKind("notice") <= 0 {
-		t.Fatal("notice payload must be accounted")
-	}
-	if m.ByKind("batch") <= 0 {
-		t.Fatal("envelope framing must be accounted under kind batch")
-	}
-	sum := m.ByKind("raw") + m.ByKind("notice") + m.ByKind("batch")
-	if sum != m.Total() {
-		t.Fatalf("kind split %d must sum to total %d", sum, m.Total())
-	}
-}
-
 func TestMeterConcurrentSafe(t *testing.T) {
 	m := NewMeter()
 	done := make(chan struct{})

@@ -114,19 +114,15 @@ func TestCaptureAsyncMatchesSerial(t *testing.T) {
 	markEveryTenth(async, traces)
 	async.Flush() // deliver the marks' params reports before reading back
 
-	// Storage is payload-only and must match exactly; the network total
-	// differs only by the batching envelope, which amortizes per-message
-	// framing and so can only shrink it.
+	// Every report is metered where it is cut, so the worker pool changes
+	// neither storage nor the network total.
 	assertSameAnswers(t, "async", serial, async, traceIDs(traces))
 	gotNetwork := async.NetworkBytes()
 	if err := async.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	if gotNetwork > wantNetwork {
-		t.Errorf("async network = %d exceeds serial %d: batching should amortize framing", gotNetwork, wantNetwork)
-	}
-	if gotNetwork < wantNetwork*9/10 {
-		t.Errorf("async network = %d implausibly far below serial %d", gotNetwork, wantNetwork)
+	if gotNetwork != wantNetwork {
+		t.Errorf("async network = %d, serial = %d", gotNetwork, wantNetwork)
 	}
 }
 
@@ -193,7 +189,7 @@ func TestInternParitySerialShardedReopened(t *testing.T) {
 }
 
 // TestAsyncPipelineWithSamplers drives the full pipeline — samplers on,
-// worker pool, batched reporters, mid-stream flush — and asserts the
+// worker pool, mid-stream flush — and asserts the
 // paradigm invariants that hold under any interleaving: no query misses, no
 // deadlocks, Close idempotent and the cluster queryable afterwards.
 func TestAsyncPipelineWithSamplers(t *testing.T) {

@@ -20,29 +20,29 @@
 //
 // The ingest path is a concurrent pipeline. Config.Shards partitions the
 // backend store into independently locked shards (hash-routed by pattern ID
-// and trace ID) and Config.IngestWorkers starts a capture worker pool plus
-// per-node async reporters that coalesce pattern/Bloom/params reports into
-// batched wire envelopes (bounded queues with back-pressure; nothing is
-// dropped). Capture stays synchronous and goroutine-safe in every mode;
-// CaptureAsync enqueues instead of waiting. Flush drains the pipeline, and
-// Close drains and stops it:
+// and trace ID) and Config.IngestWorkers starts a capture worker pool behind
+// a bounded queue (back-pressure; nothing is dropped). Every report a
+// collector cuts is metered and applied on the goroutine that cut it, so
+// there is one report path whatever the knobs say. Capture stays synchronous
+// and goroutine-safe in every mode; CaptureAsync enqueues instead of
+// waiting. Flush drains the queue, and Close drains and stops the pool:
 //
 //	cluster := mint.NewCluster(nodes, mint.Config{Shards: 8, IngestWorkers: 8})
 //	cluster.Warmup(warmupTraces)
 //	for _, t := range traces {
 //		cluster.CaptureAsync(t)
 //	}
-//	cluster.Close() // drain workers and batched reporters
+//	cluster.Close() // drain the worker pool
 //	res := cluster.Query(traces[0].TraceID)
 //
 // For a fixed set of sampling decisions, storage contents, query results
-// and byte accounting are identical to the serial configuration, up to the
-// batching envelope's amortized framing (the stores are content-addressed,
-// so ingestion order cannot change them). The one order-sensitive part is
-// the samplers themselves: the Symptom and Edge-Case samplers use streaming
-// estimators (P² quantiles, rarity at arrival), so under concurrent
-// interleavings their decisions — which traces become exact hits — can
-// differ slightly from a serial run.
+// and byte accounting (NetworkBytes included) are identical to the serial
+// configuration (the stores are content-addressed, so ingestion order
+// cannot change them). The one order-sensitive part is the samplers
+// themselves: the Symptom and Edge-Case samplers use streaming estimators
+// (P² quantiles, rarity at arrival), so under concurrent interleavings
+// their decisions — which traces become exact hits — can differ slightly
+// from a serial run.
 //
 // # The query engine
 //
@@ -50,7 +50,7 @@
 // over per-shard segment indexes keyed by (node, pattern), so a lookup
 // touches each live candidate once instead of scanning every historical
 // segment. Reconstructed results land in an LRU cache keyed by trace ID
-// and stamped with the backend's per-shard write-epoch vector: a cached
+// and stamped with the sum of the backend's per-shard write epochs: a cached
 // result is served only while no shard has accepted a write since it was
 // computed, so hot-trace re-queries and repeated BatchAnalyze sets skip
 // reconstruction entirely without ever returning stale data
@@ -218,10 +218,10 @@ type Config struct {
 	// 0 or 1 keeps the single-shard serial-equivalent backend. Storage
 	// contents and byte accounting are identical for every value.
 	Shards int
-	// IngestWorkers enables the concurrent ingestion pipeline: N goroutines
-	// drain CaptureAsync's bounded queue, and collectors report to the
-	// backend through async batched reporters. 0 keeps every path fully
-	// synchronous (the seed behavior). When enabled, call Close to drain.
+	// IngestWorkers starts N goroutines that drain CaptureAsync's bounded
+	// queue; each applies its captures' reports inline, exactly as Capture
+	// does. 0 makes CaptureAsync capture on the caller's goroutine. When
+	// enabled, call Flush or Close to drain the queue.
 	IngestWorkers int
 	// QueryWorkers bounds the worker pool QueryMany/BatchAnalyze fan out
 	// over. 0 sizes the pool to GOMAXPROCS; -1 forces serial queries (other
@@ -429,9 +429,9 @@ func Dial(addr string, nodes []string, cfg Config) (*Cluster, error) {
 var testHookStore func(store) store
 
 // assemble builds a Cluster over either a local backend or a remote
-// transport — everything above the store (agents, collectors, reporters,
-// the ingest worker pool) is identical in both deployments, which is what
-// keeps remote answers byte-identical to local ones.
+// transport — everything above the store (agents, collectors, the ingest
+// worker pool) is identical in both deployments, which is what keeps remote
+// answers byte-identical to local ones.
 func assemble(nodes []string, cfg Config, b *backend.Backend, cli *rpc.Client) *Cluster {
 	var st store
 	if cli != nil {
@@ -477,23 +477,16 @@ func assemble(nodes []string, cfg Config, b *backend.Backend, cli *rpc.Client) *
 		"OTLP payload decode latency by wire encoding, before the capture path runs.")
 	c.histCapture = c.tel.Histogram("mint_capture_seconds", "",
 		"Full trace capture latency: per-node partition, agent parse, collector report, sampling fan-out.")
-	async := cfg.IngestWorkers > 0
 	for _, n := range nodes {
-		a := agent.New(n, cfg.agentConfig())
-		if async {
-			c.collectors[n] = collector.NewAsync(a, st, m, 0, 0)
-		} else {
-			c.collectors[n] = collector.New(a, st, m)
-		}
+		c.collectors[n] = collector.New(agent.New(n, cfg.agentConfig()), st, m)
 	}
 	if cfg.SelfTrace && b != nil {
 		// The self node is hidden: not in c.nodes (captureOne never routes
-		// user spans to it) and always synchronous (self traces must not
-		// depend on the worker pool they observe).
+		// user spans to it).
 		sa := agent.New(telemetry.SelfNode, cfg.agentConfig())
 		c.selfTr = newSelfTracer(collector.New(sa, st, m))
 	}
-	if async {
+	if cfg.IngestWorkers > 0 {
 		c.ingestCh = make(chan *Trace, 2*cfg.IngestWorkers)
 		c.ingestWG.Add(cfg.IngestWorkers)
 		for i := 0; i < cfg.IngestWorkers; i++ {
@@ -647,13 +640,13 @@ func (c *Cluster) notifySampled(traceID, reason string) {
 }
 
 // Flush performs the periodic pattern/Bloom upload on every collector
-// (default cadence in the paper: one minute) and, in async mode, waits for
-// the in-flight ingest queue and report batches to reach the backend, so
-// queries issued after Flush see every capture enqueued before it. With
-// DataDir set — or against a remote durable backend — Flush then forces the
-// write-ahead logs to durable storage and returns the engine's first I/O
-// error: everything queryable after a nil Flush survives a crash and
-// reopen. On a closed cluster Flush does nothing and returns ErrClosed.
+// (default cadence in the paper: one minute), after waiting for the
+// CaptureAsync queue to drain, so queries issued after Flush see every
+// capture enqueued before it. With DataDir set — or against a remote
+// durable backend — Flush then forces the write-ahead logs to durable
+// storage and returns the engine's first I/O error: everything queryable
+// after a nil Flush survives a crash and reopen. On a closed cluster Flush
+// does nothing and returns ErrClosed.
 func (c *Cluster) Flush() error {
 	if err := c.checkOpen(); err != nil {
 		return err
@@ -661,9 +654,6 @@ func (c *Cluster) Flush() error {
 	c.drainIngest()
 	for _, node := range c.nodes {
 		c.collectors[node].FlushPatterns()
-	}
-	for _, node := range c.nodes {
-		c.collectors[node].SyncReports()
 	}
 	if c.selfTr == nil {
 		return c.store.FlushPersistence()
@@ -690,12 +680,13 @@ func (c *Cluster) drainIngest() {
 	c.pending.Wait()
 }
 
-// Close drains the ingest pool and every async reporter, then stops them.
-// With DataDir set it then flushes the write-ahead logs and detaches the
-// durable store, so everything captured before Close is on disk when it
-// returns — close-is-flush. A remote cluster's Close flushes the server's
-// durable store and closes the connection (the server keeps running for
-// other clients). Captures must not race with Close itself. Safe to call
+// Close drains the CaptureAsync queue, stops its worker pool and performs a
+// last pattern/Bloom upload on every collector. With DataDir set it then
+// flushes the write-ahead logs and detaches the durable store, so
+// everything captured before Close is on disk when it returns —
+// close-is-flush. A remote cluster's Close flushes the server's durable
+// store and closes the connection (the server keeps running for other
+// clients). Captures must not race with Close itself. Safe to call
 // more than once: the second and later calls are no-ops returning the same
 // error, which is the durable store's first I/O error, if any.
 //
@@ -714,9 +705,6 @@ func (c *Cluster) Close() error {
 		}
 		for _, node := range c.nodes {
 			c.collectors[node].FlushPatterns()
-		}
-		for _, node := range c.nodes {
-			c.collectors[node].Close()
 		}
 		c.closeErr = c.store.ClosePersistence()
 	})

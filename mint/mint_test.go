@@ -116,3 +116,52 @@ func TestPatternCountsConverge(t *testing.T) {
 		t.Fatal("no topo patterns extracted")
 	}
 }
+
+// TestDeliveredTwiceAnswersAsOnce: a trace delivered twice — an OTLP
+// exporter retrying a POST whose response it lost — stores and answers
+// what one delivery does, through Capture and through CaptureOTLP.
+func TestDeliveredTwiceAnswersAsOnce(t *testing.T) {
+	sys := sim.OnlineBoutique(42)
+	warm := sim.GenTraces(sys, 200)
+	traces := sim.GenTraces(sys, 300)
+	cfg := mint.Config{DisableSamplers: true, HeadSampleRate: 0.1}
+	deliver := map[string]func(c *mint.Cluster, tr *mint.Trace) error{
+		"capture": func(c *mint.Cluster, tr *mint.Trace) error { return c.Capture(tr) },
+		"otlp": func(c *mint.Cluster, tr *mint.Trace) error {
+			payload, err := mint.EncodeOTLP(tr.Spans)
+			if err != nil {
+				return err
+			}
+			return c.CaptureOTLP(tr.Spans[0].Node, payload)
+		},
+	}
+	for name, send := range deliver {
+		t.Run(name, func(t *testing.T) {
+			run := func(times int) *mint.Cluster {
+				c := mint.NewCluster(sim.OnlineBoutique(42).Nodes, cfg)
+				c.Warmup(warm)
+				for _, tr := range traces {
+					for i := 0; i < times; i++ {
+						if err := send(c, tr); err != nil {
+							t.Fatalf("deliver %s: %v", tr.TraceID, err)
+						}
+					}
+				}
+				markEveryTenth(c, traces)
+				if err := c.Flush(); err != nil {
+					t.Fatalf("Flush: %v", err)
+				}
+				return c
+			}
+			once, twice := run(1), run(2)
+			ids := traceIDs(traces)
+			if d := readAnswers(once, ids).diff(readAnswers(twice, ids), ids, false); d != "" {
+				t.Fatalf("delivered twice: %s", d)
+			}
+			_, _, wantParams := once.StorageBreakdown()
+			if _, _, gotParams := twice.StorageBreakdown(); gotParams != wantParams {
+				t.Fatalf("delivered twice stores %d params bytes, once %d", gotParams, wantParams)
+			}
+		})
+	}
+}

@@ -80,9 +80,8 @@ func TestCrashRecoveryParityAfterFlushOnly(t *testing.T) {
 }
 
 // TestCloseFlushesPendingAsyncBatches is the regression test for
-// close-is-flush: captures still sitting in the async ingest queue and the
-// reporters' batch buffers when Close is called must reach disk, and Close
-// must stay idempotent around it.
+// close-is-flush: captures still sitting in the async ingest queue when
+// Close is called must reach disk, and Close must stay idempotent around it.
 func TestCloseFlushesPendingAsyncBatches(t *testing.T) {
 	dir := t.TempDir()
 	sys := sim.OnlineBoutique(9)

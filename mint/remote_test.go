@@ -7,7 +7,7 @@ package mint_test
 // Also: one dialed cluster shared by many goroutines, config ownership, and
 // the closed and dead-server contracts. The parity oracle's remote rows
 // (oracle_test.go) run the same checks over seeded histories. Run with
-// -race: the transport multiplexes collectors, reporters and query
+// -race: the transport multiplexes collectors, ingest workers and query
 // goroutines onto one connection.
 
 import (
@@ -133,7 +133,7 @@ func TestLoopbackParityWithRestart(t *testing.T) {
 }
 
 // TestLoopbackParityConcurrentIngest drives the full concurrent pipeline —
-// ingest worker pool, async batched reporters — through the network
+// ingest worker pool — through the network
 // transport under -race. Samplers are replaced by deterministic hash-based
 // head sampling so decisions are interleaving-independent, and a fixed
 // subset is marked sampled explicitly.

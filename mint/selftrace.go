@@ -156,7 +156,6 @@ func (st *selfTracer) drain() {
 	st.mu.Unlock()
 	st.feed(batch)
 	st.col.FlushPatterns()
-	st.col.SyncReports()
 }
 
 // SpansFed reports how many self spans have been ingested so far (the
