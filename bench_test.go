@@ -255,9 +255,9 @@ func benchRemoteQueryCluster(b *testing.B) (*mint.Cluster, []string) {
 }
 
 // BenchmarkRemoteQueryMany measures a 64-ID positional batch lookup over the
-// multiplexed transport: the batch fans out into chunk frames pipelined on
-// the one connection instead of one lock-step round trip. Its
-// allocs/op is budget-gated in CI (tools/benchbudget).
+// multiplexed transport: the batch is one request frame, fanned out over
+// the server's query worker pool. Its allocs/op is budget-gated in CI
+// (tools/benchbudget).
 func BenchmarkRemoteQueryMany(b *testing.B) {
 	cluster, ids := benchRemoteQueryCluster(b)
 	batch := ids[:64]

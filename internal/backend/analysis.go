@@ -161,9 +161,10 @@ func (b *Backend) QueryMany(traceIDs []string) []QueryResult {
 	return out
 }
 
-// batchQueryChunk bounds how many reconstructed traces BatchQuery holds at
-// once: queries fan out per chunk, aggregation drains the chunk, and the
-// traces become collectable before the next chunk starts.
+// batchQueryChunk bounds how many reconstructed traces BatchQuery and the
+// candidate side of a search hold at once: queries fan out per chunk, the
+// caller drains the chunk, and the traces it drops become collectable
+// before the next chunk starts.
 const batchQueryChunk = 1024
 
 // BatchQuery runs the querier over many trace IDs and aggregates whatever

@@ -387,6 +387,25 @@ func TestBatchQueryWorkerPoolParity(t *testing.T) {
 			t.Fatalf("QueryMany[%d] diverged", i)
 		}
 	}
+	// Candidate search reconstructs through the pool. Fresh absent IDs go
+	// first so the deduplicated survivors span two QueryMany chunks with
+	// the stored traces in the second.
+	cands := make([]string, 0, 2*len(ids))
+	for i := 0; i < len(ids); i++ {
+		cands = append(cands, fmt.Sprintf("absent-c%d", i))
+	}
+	cands = append(cands, ids...)
+	for _, f := range []Filter{{Candidates: cands}, {Candidates: cands, MinDurationUS: 1}} {
+		sf, pf := serial.FindTraces(f), pooled.FindTraces(f)
+		if len(sf) == 0 || !reflect.DeepEqual(sf, pf) {
+			t.Fatalf("FindTraces(min %d): pooled %d matches diverged from serial %d", f.MinDurationUS, len(pf), len(sf))
+		}
+		sst, sfa := serial.FindAnalyze(f)
+		pst, pfa := pooled.FindAnalyze(f)
+		if !reflect.DeepEqual(sst, pst) || !reflect.DeepEqual(sfa, pfa) {
+			t.Fatalf("FindAnalyze(min %d): pooled diverged from serial", f.MinDurationUS)
+		}
+	}
 }
 
 // TestConcurrentQueryCaptureWithCache races writers (patterns, blooms,

@@ -209,8 +209,11 @@ func (b *Backend) appendExactMatches(out []foundMatch, f *Filter, seen map[strin
 // appendCandidateMatches appends every unsampled candidate satisfying the
 // filter, deduplicating against seen (and within the candidate list itself)
 // and pre-screening through the matching patterns' Bloom segments when the
-// filter narrowed any.
+// filter narrowed any. The screen is serial; the survivors are
+// reconstructed through QueryMany in bounded chunks, so the query pool is
+// the search's one fan-out.
 func (b *Backend) appendCandidateMatches(out []foundMatch, f *Filter, seen map[string]bool, prefiltered bool, topoSet map[intern.Sym]bool) []foundMatch {
+	var ids []string
 	for _, id := range f.Candidates {
 		if seen[id] || b.Sampled(id) {
 			continue
@@ -219,11 +222,16 @@ func (b *Backend) appendCandidateMatches(out []foundMatch, f *Filter, seen map[s
 		if prefiltered && !b.probeCandidate(id, topoSet) {
 			continue
 		}
-		res := b.Query(id)
-		if res.Kind == Miss || !f.matchTrace(res.Trace) {
-			continue
+		ids = append(ids, id)
+	}
+	for start := 0; start < len(ids); start += batchQueryChunk {
+		chunk := ids[start:min(start+batchQueryChunk, len(ids))]
+		for i, res := range b.QueryMany(chunk) {
+			if res.Kind == Miss || !f.matchTrace(res.Trace) {
+				continue
+			}
+			out = append(out, foundFrom(chunk[i], res))
 		}
-		out = append(out, foundFrom(id, res))
 	}
 	return out
 }
@@ -233,36 +241,6 @@ func sortLimitMatches(out []foundMatch, limit int) []foundMatch {
 	sort.Slice(out, func(i, j int) bool { return out[i].ft.TraceID < out[j].ft.TraceID })
 	if limit > 0 && len(out) > limit {
 		out = out[:limit]
-	}
-	return out
-}
-
-// FindCandidates answers the approximate side of FindTraces alone: the
-// filter's candidate IDs are pre-screened and tested, sampled traces are
-// skipped entirely. It exists for the RPC transport, which decomposes one
-// large remote FindTraces into an exact search plus parallel candidate
-// chunks: a candidate is either sampled (answered by the exact search) or
-// not (answered here), so merging the sorted pieces by trace ID reproduces
-// FindTraces exactly. Filters whose trace-level predicates exclude
-// approximate answers (SampledOnly, a Reason) have none to give and answer
-// empty.
-func (b *Backend) FindCandidates(f Filter) []FoundTrace {
-	if f.SampledOnly || f.Reason != "" {
-		return []FoundTrace{}
-	}
-	spanSet, prefiltered := b.matchingSpanPatterns(&f)
-	var topoSet map[intern.Sym]bool
-	if prefiltered {
-		if len(spanSet) == 0 {
-			return []FoundTrace{}
-		}
-		topoSet = b.matchingTopoPatterns(spanSet)
-	}
-	matches := b.appendCandidateMatches(nil, &f, map[string]bool{}, prefiltered, topoSet)
-	matches = sortLimitMatches(matches, f.Limit)
-	out := make([]FoundTrace, len(matches))
-	for i, m := range matches {
-		out[i] = m.ft
 	}
 	return out
 }

@@ -152,17 +152,24 @@ func StatusFrom(code int) trace.Status {
 // ErrEndBeforeStart reports a span whose end timestamp precedes its start.
 var ErrEndBeforeStart = fmt.Errorf("end before start")
 
+// errNegativeTime reports a span timestamp below zero. OTLP timestamps are
+// unsigned, so one that reads negative here was negative on the wire or
+// overflowed int64.
+var errNegativeTime = fmt.Errorf("negative timestamp")
+
 // TimesFromNanos converts OTLP start/end nanosecond timestamps into Mint's
 // microsecond start + duration. Both front-door decoders (JSON and
 // protobuf) share this conversion, which is what keeps their span mappings
-// byte-identical.
+// byte-identical. The checks run before the subtraction, so it cannot
+// overflow.
 func TimesFromNanos(startNs, endNs int64) (startUS, durationUS int64, err error) {
-	startUS = startNs / 1000
-	durationUS = (endNs - startNs) / 1000
-	if durationUS < 0 {
+	if startNs < 0 || endNs < 0 {
+		return 0, 0, errNegativeTime
+	}
+	if endNs < startNs {
 		return 0, 0, ErrEndBeforeStart
 	}
-	return startUS, durationUS, nil
+	return startNs / 1000, (endNs - startNs) / 1000, nil
 }
 
 // Decode parses an OTLP/JSON export payload into Mint's span model. node

@@ -118,6 +118,34 @@ func TestDecodeErrors(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsTimestampOverflow pins that timestamps are checked before
+// the duration is computed: OTLP timestamps are unsigned, so a negative one
+// is refused rather than subtracted into a wrapped, plausible-looking
+// duration.
+func TestDecodeRejectsTimestampOverflow(t *testing.T) {
+	for _, ts := range [][2]string{
+		{"9000000000000000000", "-9000000000000000000"},
+		{"-9000000000000000000", "9000000000000000000"},
+		{"-5", "2000"},
+	} {
+		payload := timedPayload(ts[0], ts[1])
+		spans, err := Decode([]byte(payload), "n")
+		if err == nil {
+			t.Fatalf("start %s end %s: accepted with duration %d us", ts[0], ts[1], spans[0].Duration)
+		}
+		if !strings.Contains(err.Error(), "negative timestamp") {
+			t.Fatalf("start %s end %s: err = %v, want a negative-timestamp error", ts[0], ts[1], err)
+		}
+	}
+}
+
+// timedPayload is a one-span OTLP/JSON export with the given timestamps.
+func timedPayload(start, end string) string {
+	return `{"resourceSpans":[{"resource":{"attributes":[{"key":"service.name","value":{"stringValue":"x"}}]},` +
+		`"scopeSpans":[{"spans":[{"traceId":"t","spanId":"s","startTimeUnixNano":"` + start +
+		`","endTimeUnixNano":"` + end + `"}]}]}]}`
+}
+
 func TestKindMapping(t *testing.T) {
 	kinds := map[int]trace.Kind{
 		0: trace.KindInternal, 1: trace.KindInternal, 2: trace.KindServer,

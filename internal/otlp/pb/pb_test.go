@@ -362,6 +362,25 @@ func TestDecodeEdgeCases(t *testing.T) {
 		}
 	})
 
+	t.Run("timestamp overflow", func(t *testing.T) {
+		// A fixed64 end of 2^63 reads as a negative int64; subtracting the
+		// start from it wraps to a huge positive duration.
+		spanBody := AppendBytesField(nil, fSpanTraceID, []byte{1, 2})
+		spanBody = AppendBytesField(spanBody, fSpanSpanID, []byte{3, 4})
+		spanBody = AppendTag(spanBody, fSpanStartTime, wtFixed64)
+		spanBody = AppendFixed64(spanBody, 5000)
+		spanBody = AppendTag(spanBody, fSpanEndTime, wtFixed64)
+		spanBody = AppendFixed64(spanBody, 1<<63)
+		payload := wrapSpan(t, spanBody)
+		spans, err := Decode(payload, "n")
+		if err == nil {
+			t.Fatalf("accepted with duration %d us", spans[0].Duration)
+		}
+		if !strings.Contains(err.Error(), "negative timestamp") {
+			t.Fatalf("err = %v, want a negative-timestamp error", err)
+		}
+	})
+
 	t.Run("varint timestamps accepted", func(t *testing.T) {
 		spanBody := AppendBytesField(nil, fSpanTraceID, []byte{1, 2})
 		spanBody = AppendBytesField(spanBody, fSpanSpanID, []byte{3, 4})

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -30,8 +29,9 @@ var ErrClientClosed = errors.New("rpc: client closed")
 //
 // All methods are safe for concurrent use. A demultiplexing reader goroutine
 // hands each response to its request by ID, so many requests pipeline in
-// flight on the one connection (the server runs them concurrently), and
-// large batch lookups fan out in chunks. Ingest writes (reports, sampling
+// flight on the one connection (the server runs them concurrently). A batch
+// lookup is one request: the backend's query pool is its one fan-out, so
+// the client does not split it. Ingest writes (reports, sampling
 // marks) are fire-and-forget: they coalesce into sequenced envelopes
 // journaled until the server acknowledges them, and one background
 // goroutine sends the journal in order, so a slow server slows that
@@ -904,51 +904,6 @@ func (c *Client) MarkSampled(traceID, reason string) {
 
 // --- query surface ---
 
-// Fan-out shape: a batch splits into at most fanDepth contiguous chunks,
-// pipelined on the connection so the server's query workers overlap them,
-// and never into chunks shorter than minChunk, where per-frame overhead
-// would dominate (a batch below 2*minChunk goes as one request).
-const (
-	fanDepth = 4
-	minChunk = 16
-)
-
-// findFanoutThreshold is the candidate count at which FindTraces decomposes
-// into an exact search plus parallel candidate chunks.
-const findFanoutThreshold = 64
-
-// fanChunks returns the chunk length and chunk count for fanning out n
-// items. An empty batch is one empty chunk, so it still makes its call.
-func fanChunks(n int) (per, count int) {
-	per = max(minChunk, (n+fanDepth-1)/fanDepth)
-	return per, max(1, (n+per-1)/per)
-}
-
-// fanOut runs do(0) through do(tasks-1) concurrently — each a synchronous
-// call, all pipelined on the one connection — and returns the first error.
-// A single task runs inline.
-func fanOut(tasks int, do func(i int) error) error {
-	if tasks == 1 {
-		return do(0)
-	}
-	var (
-		wg    sync.WaitGroup
-		once  sync.Once
-		first error
-	)
-	wg.Add(tasks)
-	for i := 0; i < tasks; i++ {
-		go func() {
-			defer wg.Done()
-			if err := do(i); err != nil {
-				once.Do(func() { first = err })
-			}
-		}()
-	}
-	wg.Wait()
-	return first
-}
-
 // Query answers one trace lookup from the remote backend. Transport errors
 // answer Miss; check Err.
 func (c *Client) Query(traceID string) backend.QueryResult {
@@ -963,31 +918,25 @@ func (c *Client) Query(traceID string) backend.QueryResult {
 	return r
 }
 
-// QueryMany answers one query per trace ID. Results are positional,
-// identical to serial Query calls. Large batches fan out into chunks, each
-// decoding into its disjoint region of the result slice — fewer round-trip
-// waves than sequential queries, byte-identical answers. A response with
-// the wrong result count is a broken server, not a miss: it latches through
-// the decoder so callers see Err, not silent all-Miss data. Transport
-// errors answer all-Miss; check Err.
+// QueryMany answers one query per trace ID in one request; the server's
+// query pool fans it out. Results are positional, identical to serial
+// Query calls. A response with the wrong result count is a broken server,
+// not a miss: it latches through the decoder so callers see Err, not silent
+// all-Miss data. Transport errors answer all-Miss; check Err.
 func (c *Client) QueryMany(traceIDs []string) []backend.QueryResult {
 	out := make([]backend.QueryResult, len(traceIDs))
-	per, chunks := fanChunks(len(traceIDs))
-	err := fanOut(chunks, func(i int) error {
-		ids, res := traceIDs[i*per:min(i*per+per, len(traceIDs))], out[i*per:min(i*per+per, len(out))]
-		return c.call(reqQueryMany, respQueryMany,
-			func(dst []byte) []byte { return appendStringSlice(dst, ids) },
-			func(d *wire.Decoder) {
-				n := d.Count()
-				if n != len(ids) && d.Err() == nil {
-					d.Fail(fmt.Sprintf("QueryMany answered %d results for %d ids", n, len(ids)))
-					return
-				}
-				for j := 0; j < n && d.Err() == nil; j++ {
-					res[j] = decodeQueryResult(d)
-				}
-			})
-	})
+	err := c.call(reqQueryMany, respQueryMany,
+		func(dst []byte) []byte { return appendStringSlice(dst, traceIDs) },
+		func(d *wire.Decoder) {
+			n := d.Count()
+			if n != len(traceIDs) && d.Err() == nil {
+				d.Fail(fmt.Sprintf("QueryMany answered %d results for %d ids", n, len(traceIDs)))
+				return
+			}
+			for j := 0; j < n && d.Err() == nil; j++ {
+				out[j] = decodeQueryResult(d)
+			}
+		})
 	if err != nil {
 		c.recordServerErr(err)
 		return make([]backend.QueryResult, len(traceIDs))
@@ -1000,123 +949,32 @@ func emptyBatchStats() *backend.BatchStats {
 	return &backend.BatchStats{ByService: map[string]*backend.ServiceStats{}, Edges: map[string]int{}}
 }
 
-// mergeBatchStats folds src into dst the same way the backend's own chunked
-// aggregation does: counters sum, maxima take the max, per-service duration
-// lists concatenate in chunk order — so merging contiguous input-range
-// chunks in order reproduces the serial aggregation byte for byte.
-func mergeBatchStats(dst, src *backend.BatchStats) {
-	dst.Traces += src.Traces
-	dst.Spans += src.Spans
-	for svc, ss := range src.ByService {
-		cur, ok := dst.ByService[svc]
-		if !ok {
-			dst.ByService[svc] = ss
-			continue
-		}
-		cur.Spans += ss.Spans
-		cur.Errors += ss.Errors
-		cur.TotalDurUS += ss.TotalDurUS
-		if ss.MaxDurUS > cur.MaxDurUS {
-			cur.MaxDurUS = ss.MaxDurUS
-		}
-		cur.DurationsUS = append(cur.DurationsUS, ss.DurationsUS...)
-	}
-	for e, n := range src.Edges {
-		dst.Edges[e] += n
-	}
-}
-
-// BatchQuery aggregates many traces server-side, returning the batch
-// statistics and the number of misses. Large batches fan out into
-// contiguous chunks merged in input order — the same chunked,
-// order-preserving aggregation the backend runs internally, so the result
-// is byte-identical to one serial call.
+// BatchQuery aggregates many traces server-side in one request, returning
+// the batch statistics and the number of misses.
 func (c *Client) BatchQuery(traceIDs []string) (*backend.BatchStats, int) {
-	per, chunks := fanChunks(len(traceIDs))
-	stats, misses := make([]*backend.BatchStats, chunks), make([]int, chunks)
-	err := fanOut(chunks, func(i int) error {
-		ids := traceIDs[i*per : min(i*per+per, len(traceIDs))]
-		return c.call(reqBatchAnalyze, respBatchStats,
-			func(dst []byte) []byte { return appendStringSlice(dst, ids) },
-			func(d *wire.Decoder) {
-				stats[i] = decodeBatchStats(d)
-				misses[i] = int(d.Uvarint())
-			})
-	})
+	var stats *backend.BatchStats
+	var misses int
+	err := c.call(reqBatchAnalyze, respBatchStats,
+		func(dst []byte) []byte { return appendStringSlice(dst, traceIDs) },
+		func(d *wire.Decoder) {
+			stats = decodeBatchStats(d)
+			misses = int(d.Uvarint())
+		})
 	if err != nil {
 		c.recordServerErr(err)
 		return emptyBatchStats(), len(traceIDs)
 	}
-	merged, miss := emptyBatchStats(), 0
-	for i := range stats {
-		mergeBatchStats(merged, stats[i])
-		miss += misses[i]
-	}
-	return merged, miss
+	return stats, misses
 }
 
-// FindTraces runs a predicate search server-side. A search with many
-// candidate IDs decomposes into one exact search plus parallel candidate
-// chunks (every candidate is either sampled — answered by the exact side —
-// or not, answered by its chunk), merged in trace-ID order and capped at
-// the filter's limit: the exact answer of the serial search, in fewer
-// round-trip waves.
+// FindTraces runs a predicate search server-side in one request.
 func (c *Client) FindTraces(f backend.Filter) []backend.FoundTrace {
-	if len(f.Candidates) < findFanoutThreshold || f.SampledOnly || f.Reason != "" {
-		var out []backend.FoundTrace
-		if err := c.call(reqFindTraces, respFound,
-			func(dst []byte) []byte { return appendFilter(dst, f) },
-			func(d *wire.Decoder) { out = decodeFoundTraces(d) }); err != nil {
-			c.recordServerErr(err)
-			return nil
-		}
-		return out
-	}
-
-	// Deduplicate candidates once: the server deduplicates within one
-	// request, so no chunk may re-test an ID another chunk already covers.
-	cands := make([]string, 0, len(f.Candidates))
-	seen := make(map[string]struct{}, len(f.Candidates))
-	for _, id := range f.Candidates {
-		if _, dup := seen[id]; dup {
-			continue
-		}
-		seen[id] = struct{}{}
-		cands = append(cands, id)
-	}
-	per, chunks := fanChunks(len(cands))
-	// pieces[chunks] is the exact search's answer, the rest the chunks'.
-	pieces := make([][]backend.FoundTrace, chunks+1)
-	err := fanOut(chunks+1, func(i int) error {
-		typ, cf := byte(reqFindCandidates), f
-		cf.Limit = 0
-		if i == chunks {
-			typ, cf.Candidates = reqFindTraces, nil
-		} else {
-			cf.Candidates = cands[i*per : min(i*per+per, len(cands))]
-		}
-		return c.call(typ, respFound,
-			func(dst []byte) []byte { return appendFilter(dst, cf) },
-			func(d *wire.Decoder) { pieces[i] = decodeFoundTraces(d) })
-	})
-	if err != nil {
+	var out []backend.FoundTrace
+	if err := c.call(reqFindTraces, respFound,
+		func(dst []byte) []byte { return appendFilter(dst, f) },
+		func(d *wire.Decoder) { out = decodeFoundTraces(d) }); err != nil {
 		c.recordServerErr(err)
 		return nil
-	}
-	total := 0
-	for _, p := range pieces {
-		total += len(p)
-	}
-	out := make([]backend.FoundTrace, 0, total)
-	for _, p := range pieces {
-		out = append(out, p...)
-	}
-	// Trace IDs are unique across pieces (sampled IDs answer exactly,
-	// unsampled ones in exactly one chunk), so sorting by ID alone is the
-	// full serial order.
-	sort.Slice(out, func(i, j int) bool { return out[i].TraceID < out[j].TraceID })
-	if f.Limit > 0 && len(out) > f.Limit {
-		out = out[:f.Limit]
 	}
 	return out
 }

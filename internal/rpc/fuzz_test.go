@@ -84,11 +84,11 @@ func FuzzServerHandle(f *testing.F) {
 		{reqQueryMany, ids},
 		{reqBatchAnalyze, ids},
 		{reqFindTraces, filter},
-		{reqFindCandidates, filter},
 		{reqFindAnalyze, filter},
 		{reqStats, nil},
 		{reqFlush, nil},
-		{0x02, nil}, // retired
+		{0x02, nil},    // retired
+		{0x0C, filter}, // retired
 	} {
 		f.Add(seed.typ, seed.payload)
 	}

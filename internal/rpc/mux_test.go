@@ -139,34 +139,41 @@ func TestIngestWritesCoalesceIntoOneEnvelope(t *testing.T) {
 	}
 }
 
-// QueryMany over a large batch must split into pipelined chunk frames on the
-// one connection —
-// strictly fewer round-trip waves than one frame per ID, pinned by counting
-// the server's request frames rather than timing anything.
-func TestQueryManyPipelinesChunkFrames(t *testing.T) {
+// A batch call is one request frame however large the batch: the backend's
+// query pool is the one fan-out, so the client never splits a batch. A
+// request type retired with the client-side split (0x0C, the approximate
+// side of a search) is answered as unknown, and the caller sees why.
+func TestBatchCallsTakeOneFrame(t *testing.T) {
 	t.Cleanup(SetTimersForTest(TestTimers{Keepalive: time.Hour, Flush: time.Hour}))
 	b := backend.NewSharded(0, 1)
 	cli, srv := startLoopback(t, b)
 
-	ids := make([]string, 64)
+	ids := make([]string, 100)
 	for i := range ids {
 		ids[i] = fmt.Sprintf("t%d", i)
 	}
-	base := srv.Requests()
-	res := cli.QueryMany(ids)
-	if len(res) != len(ids) {
-		t.Fatalf("QueryMany returned %d results for %d ids", len(res), len(ids))
+	for _, c := range []struct {
+		name string
+		do   func()
+	}{
+		{"QueryMany(64)", func() { cli.QueryMany(ids[:64]) }},
+		{"BatchQuery(64)", func() { cli.BatchQuery(ids[:64]) }},
+		{"FindTraces(100 candidates)", func() { cli.FindTraces(backend.Filter{Candidates: ids}) }},
+	} {
+		base := srv.Requests()
+		c.do()
+		if err := cli.Err(); err != nil {
+			t.Fatalf("%s: client error: %v", c.name, err)
+		}
+		if delta := srv.Requests() - base; delta != 1 {
+			t.Fatalf("%s took %d frames, want 1", c.name, delta)
+		}
 	}
-	if err := cli.Err(); err != nil {
-		t.Fatalf("client error: %v", err)
-	}
-	delta := srv.Requests() - base
-	_, chunks := fanChunks(len(ids))
-	if want := int64(chunks); delta != want {
-		t.Fatalf("QueryMany(64) took %d frames, want %d chunk frames", delta, want)
-	}
-	if delta <= 1 || delta >= int64(len(ids)) {
-		t.Fatalf("chunk frame count %d outside (1, %d)", delta, len(ids))
+
+	err := cli.call(0x0C, respFound,
+		func(dst []byte) []byte { return appendFilter(dst, backend.Filter{Candidates: ids}) }, nil)
+	if err == nil || !strings.Contains(err.Error(), "unknown request type 0x0c") {
+		t.Fatalf("retired request 0x0C: err = %v, want the unknown-type error", err)
 	}
 }
 

@@ -80,20 +80,21 @@ const (
 const MaxFrameBytes = 1 << 28
 
 // Request frame types. 0x02 and 0x03 (one report batch, one sampling mark
-// per frame) are retired in favour of envelopes; a server answers them as
-// unknown types, so they must not be reused within this protocol version.
-// Response type 0x89 (busy) is retired the same way.
+// per frame) are retired in favour of envelopes, and 0x0C (the approximate
+// side of a search, split off by the client) in favour of one FindTraces
+// frame; a server answers them as unknown types, so they must not be reused
+// within this protocol version. Response type 0x89 (busy) is retired the
+// same way.
 const (
-	reqPing           = 0x01 // empty payload; respOK
-	reqQuery          = 0x04 // traceID; respQueryResult
-	reqQueryMany      = 0x05 // id list; respQueryMany
-	reqBatchAnalyze   = 0x06 // id list; respBatchStats
-	reqFindTraces     = 0x07 // filter; respFound
-	reqFindAnalyze    = 0x08 // filter; respFindAnalyze
-	reqStats          = 0x09 // empty payload; respStats
-	reqFlush          = 0x0A // empty payload; respOK (durable flush)
-	reqEnvelope       = 0x0B // sequenced wire envelope of coalesced ingest ops; respOK
-	reqFindCandidates = 0x0C // filter; respFound (approximate side only)
+	reqPing         = 0x01 // empty payload; respOK
+	reqQuery        = 0x04 // traceID; respQueryResult
+	reqQueryMany    = 0x05 // id list; respQueryMany
+	reqBatchAnalyze = 0x06 // id list; respBatchStats
+	reqFindTraces   = 0x07 // filter; respFound
+	reqFindAnalyze  = 0x08 // filter; respFindAnalyze
+	reqStats        = 0x09 // empty payload; respStats
+	reqFlush        = 0x0A // empty payload; respOK (durable flush)
+	reqEnvelope     = 0x0B // sequenced wire envelope of coalesced ingest ops; respOK
 )
 
 // Response frame types.

@@ -140,8 +140,6 @@ func opName(typ byte) string {
 		return "batch_analyze"
 	case reqFindTraces:
 		return "find_traces"
-	case reqFindCandidates:
-		return "find_candidates"
 	case reqFindAnalyze:
 		return "find_analyze"
 	case reqStats:
@@ -191,7 +189,7 @@ func NewServer(b *backend.Backend) *Server {
 	const opHelp = "RPC per-op service time (handler execution, excluding queue wait)."
 	for _, typ := range []byte{
 		reqPing, reqEnvelope, reqQuery, reqQueryMany,
-		reqBatchAnalyze, reqFindTraces, reqFindCandidates, reqFindAnalyze,
+		reqBatchAnalyze, reqFindTraces, reqFindAnalyze,
 		reqStats, reqFlush,
 	} {
 		s.opHists[typ] = s.tel.Histogram("mint_rpc_op_seconds", `op="`+opName(typ)+`"`, opHelp)
@@ -706,16 +704,6 @@ func (s *Server) handle(dst []byte, typ byte, id uint64, payload []byte) []byte 
 		}
 		return appendFrame(dst, respFound, id, func(b []byte) []byte {
 			return appendFoundTraces(b, s.backend.FindTraces(f))
-		})
-
-	case reqFindCandidates:
-		d := wire.NewDecoder(payload)
-		f := decodeFilter(d)
-		if err := d.Done(); err != nil {
-			return errFrame(dst, id, err.Error())
-		}
-		return appendFrame(dst, respFound, id, func(b []byte) []byte {
-			return appendFoundTraces(b, s.backend.FindCandidates(f))
 		})
 
 	case reqFindAnalyze:

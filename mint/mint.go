@@ -790,8 +790,8 @@ func (c *Cluster) Query(traceID string) QueryResult {
 }
 
 // QueryMany answers one query per trace ID, fanning the lookups out over
-// the bounded query worker pool (Config.QueryWorkers) — or, on a remote
-// cluster, into at most four pipelined requests. Results are positional:
+// the bounded query worker pool (Config.QueryWorkers) — on a remote
+// cluster, the server's pool, reached in one request. Results are positional:
 // out[i] answers traceIDs[i], identical to serial Query calls. On a closed
 // cluster every result is a Miss and ErrClosed is recorded (see Err).
 func (c *Cluster) QueryMany(traceIDs []string) []QueryResult {
