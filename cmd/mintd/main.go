@@ -28,7 +28,7 @@
 // mint-self node, queryable through the ordinary surface (filter on
 // service "mint-self"). Self data never changes answers about real traces.
 //
-// With -data-dir the backend persists every shard to snapshot + WAL and a
+// With -data-dir the backend persists to one snapshot and one WAL and a
 // restarted mintd answers queries byte-identically to the one that wrote
 // the directory. SIGINT/SIGTERM drain before stopping: /healthz flips to
 // 503 and HTTP ingest sheds with 429 (so load balancers and exporters move
@@ -74,9 +74,9 @@ func main() {
 	queryWorkers := flag.Int("query-workers", 0, "query worker pool bound (0 = GOMAXPROCS)")
 	queryCache := flag.Int("query-cache", 0, "query result cache entries (0 = default, -1 disables)")
 	maxBody := flag.Int64("max-body", 0, "max bytes per OTLP ingest payload, after decompression (0 = 32 MiB default)")
-	dataDir := flag.String("data-dir", "", "durable storage directory (snapshot + WAL per shard); empty = memory-only")
+	dataDir := flag.String("data-dir", "", "durable storage directory (store.snap + store.wal, any shard count); empty = memory-only")
 	retention := flag.Duration("retention", 0, "drop stored trace data older than this TTL (requires -data-dir)")
-	snapshotBytes := flag.Int64("snapshot-bytes", 0, "rewrite a shard snapshot once its WAL exceeds this size (requires -data-dir)")
+	snapshotBytes := flag.Int64("snapshot-bytes", 0, "WAL bytes per shard: rewrite the snapshot once the WAL exceeds this size times -shards; 0 = 4 MiB (requires -data-dir)")
 	drain := flag.Duration("drain", 10*time.Second, "how long shutdown waits for in-flight RPC requests before force-closing connections")
 	debugAddr := flag.String("debug-addr", "", "debug HTTP listen address serving net/http/pprof and expvar (/debug/vars); loopback-only, empty disables")
 	selfTrace := flag.Bool("self-trace", false, "feed the daemon's own pipeline stages (ingest, RPC serve, WAL flush) back into its capture path as mint-self traces")

@@ -56,7 +56,7 @@ func main() {
 	query := flag.String("query", "sampled", "which traces to query back: sampled | all | none")
 	inject := flag.String("inject", "", "inject a code-exception fault at this service")
 	seed := flag.Int64("seed", 42, "workload RNG seed")
-	dataDir := flag.String("data-dir", "", "durable storage directory (snapshot + WAL per backend shard); empty = memory-only")
+	dataDir := flag.String("data-dir", "", "durable storage directory (store.snap + store.wal, any shard count); empty = memory-only")
 	retention := flag.Duration("retention", 0, "drop stored trace data older than this TTL (requires -data-dir; 0 = keep forever)")
 	reopen := flag.Bool("reopen", false, "after capturing, close the cluster, reopen it from -data-dir and re-run the queries (crash-recovery demo)")
 	findService := flag.String("find-service", "", "FindTraces: require a span of this service")

@@ -23,14 +23,14 @@
 // # Persistence and operations
 //
 // Setting Config.DataDir attaches a durable storage engine under the
-// backend: each shard persists to a versioned binary snapshot plus an
+// backend: the store persists to one versioned binary snapshot plus one
 // append-only write-ahead log, replayed on mint.Open, so a reopened
 // cluster answers Query/FindTraces byte-identically to the one that wrote
 // the directory. Cluster.Flush makes everything captured so far
 // crash-durable; Cluster.Close drains the pipeline and flushes
 // (close-is-flush). Config.RetentionTTL ages out stored trace data
 // (patterns are kept — they are the tiny, deduplicated commonality) and
-// Config.SnapshotEveryBytes bounds WAL growth via shard-local compaction.
+// Config.SnapshotEveryBytes bounds WAL growth via compaction.
 // Operational details — on-disk layout, recovery guarantees, retention
 // tuning — are in README.md's "Durability & operations" section.
 //

@@ -18,13 +18,11 @@
 // searches from patterns and sampled parameters (search.go).
 //
 // The store is optionally durable: OpenPersistence attaches a storage engine
-// that snapshots each shard to a versioned binary file and logs mutations
-// between snapshots to a per-shard write-ahead log, replayed on open
-// (snapshot.go, persist.go). A background loop applies TTL retention and
-// rewrites snapshots when a shard's WAL grows past a threshold. Persistence
-// is shard-local end to end — each shard owns its files and its WAL appends
-// happen under that shard's lock only — so durability never serializes the
-// concurrent ingest path across shards.
+// that snapshots the whole store to one versioned binary file and logs
+// mutations between snapshots to one write-ahead log, replayed on open
+// through the shard router, so the shard count never reaches the disk
+// (snapshot.go, persist.go). A background loop applies TTL retention, and
+// the snapshot is rewritten when the WAL grows past a threshold.
 package backend
 
 import (
@@ -313,6 +311,7 @@ func (b *Backend) AcceptPatterns(r *wire.PatternReport) {
 	for _, p := range r.TopoPatterns {
 		b.applyTopoPattern(p, at, true)
 	}
+	b.compactIfDue()
 	d := time.Since(start)
 	b.histApplyPatterns.Observe(d)
 	if b.slow.Exceeds(d) {
@@ -333,7 +332,7 @@ func (b *Backend) applySpanPattern(p *parser.SpanPattern, at int64, log bool) {
 	s.storagePatterns += int64(p.Size())
 	s.epoch.Add(1)
 	if log && b.persist != nil {
-		b.persist.logLocked(idx, s, recSpanPattern, at, func(dst []byte) []byte { return wire.AppendSpanPattern(dst, p) })
+		b.persist.logLocked(idx, recSpanPattern, at, func(dst []byte) []byte { return wire.AppendSpanPattern(dst, p) })
 	}
 }
 
@@ -350,7 +349,7 @@ func (b *Backend) applyTopoPattern(p *topo.Pattern, at int64, log bool) {
 	s.storagePatterns += int64(p.Size())
 	s.epoch.Add(1)
 	if log && b.persist != nil {
-		b.persist.logLocked(idx, s, recTopoPattern, at, func(dst []byte) []byte { return wire.AppendTopoPattern(dst, p) })
+		b.persist.logLocked(idx, recTopoPattern, at, func(dst []byte) []byte { return wire.AppendTopoPattern(dst, p) })
 	}
 }
 
@@ -364,6 +363,7 @@ func (b *Backend) applyTopoPattern(p *topo.Pattern, at int64, log bool) {
 func (b *Backend) AcceptBloom(r *wire.BloomReport, immutable bool) {
 	start := time.Now()
 	b.applyBloom(r.Node, r.PatternID, r.Filter, immutable, b.now(), true)
+	b.compactIfDue()
 	d := time.Since(start)
 	b.histApplyBloom.Observe(d)
 	if b.slow.Exceeds(d) {
@@ -424,7 +424,7 @@ func (b *Backend) applyBloom(node, patternID string, f *bloom.Filter, full bool,
 	}
 	if log && b.persist != nil {
 		rep := wire.BloomReport{Node: node, PatternID: patternID, Filter: f, Full: full}
-		b.persist.logLocked(idx, s, recBloom, at, func(dst []byte) []byte { return wire.AppendBloomReport(dst, &rep) })
+		b.persist.logLocked(idx, recBloom, at, func(dst []byte) []byte { return wire.AppendBloomReport(dst, &rep) })
 	}
 }
 
@@ -432,6 +432,7 @@ func (b *Backend) applyBloom(node, patternID string, f *bloom.Filter, full bool,
 func (b *Backend) AcceptParams(r *wire.ParamsReport) {
 	start := time.Now()
 	b.applyParams(r, b.now(), true)
+	b.compactIfDue()
 	d := time.Since(start)
 	b.histApplyParams.Observe(d)
 	if b.slow.Exceeds(d) {
@@ -468,7 +469,7 @@ func (b *Backend) applyParams(r *wire.ParamsReport, at int64, log bool) {
 	s.paramsAt[r.TraceID] = at
 	s.epoch.Add(1)
 	if log && b.persist != nil {
-		b.persist.logLocked(idx, s, recParams, at, func(dst []byte) []byte { return wire.AppendParamsReport(dst, r) })
+		b.persist.logLocked(idx, recParams, at, func(dst []byte) []byte { return wire.AppendParamsReport(dst, r) })
 	}
 }
 
@@ -485,6 +486,7 @@ func hasSpan(spans []*parser.ParsedSpan, spanID string) bool {
 func (b *Backend) MarkSampled(traceID, reason string) {
 	start := time.Now()
 	b.applyMark(traceID, reason, b.now(), true)
+	b.compactIfDue()
 	d := time.Since(start)
 	b.histApplyMark.Observe(d)
 	if b.slow.Exceeds(d) {
@@ -503,7 +505,7 @@ func (b *Backend) applyMark(traceID, reason string, at int64, log bool) {
 	s.sampledAt[traceID] = at
 	s.epoch.Add(1)
 	if log && b.persist != nil {
-		b.persist.logLocked(idx, s, recMark, at, func(dst []byte) []byte { return appendMark(dst, traceID, reason) })
+		b.persist.logLocked(idx, recMark, at, func(dst []byte) []byte { return appendMark(dst, traceID, reason) })
 	}
 }
 

@@ -146,11 +146,11 @@ func TestParamsApplyIsIdempotent(t *testing.T) {
 		spans, bytes, at, epoch, wal int64
 	}
 	now := func() state {
-		w := b.persist.wals[0]
-		w.mu.Lock()
-		defer w.mu.Unlock()
 		s.mu.Lock()
 		defer s.mu.Unlock()
+		w := &b.persist.wal
+		w.mu.Lock()
+		defer w.mu.Unlock()
 		return state{int64(len(s.params["tr"]["n1"])), s.storageParams, s.paramsAt["tr"], int64(s.epoch.Load()), w.bytes}
 	}
 	clock := int64(1)

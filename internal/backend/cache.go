@@ -128,10 +128,6 @@ func (b *Backend) EnableQueryCache(capacity int) {
 	b.cache = newQueryCache(capacity)
 }
 
-// DisableQueryCache detaches and drops the query cache. Same synchronization
-// contract as EnableQueryCache.
-func (b *Backend) DisableQueryCache() { b.cache = nil }
-
 // QueryCacheStats reports cache traffic: served hits, misses, and how many
 // entries were discarded as stale by epoch validation. ok is false when no
 // cache is enabled.

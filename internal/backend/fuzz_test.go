@@ -2,7 +2,8 @@ package backend
 
 import (
 	"encoding/binary"
-	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -13,16 +14,16 @@ import (
 // then still answer queries, searches and storage accounting. A malformed
 // payload must come back as an error, never a panic.
 func FuzzRecordReplay(f *testing.F) {
-	// Seeds: every record of a store holding each record type, as a shard
+	// Seeds: every record of a store holding each record type, as a
 	// snapshot encodes them, plus one group commit carrying all of them.
 	src := New(0)
 	seedStore(src)
 	s := src.shards[0]
 	s.mu.Lock()
-	snap := encodeShardSnapshot(s, 1)
+	snap := appendShardSnapshot(nil, s)
 	s.mu.Unlock()
 	var group []byte
-	scanRecords(snap[fileHeaderLen:], func(typ byte, at int64, payload []byte) error {
+	scanRecords(snap, func(typ byte, at int64, payload []byte) error {
 		f.Add(typ, append([]byte(nil), payload...))
 		body := binary.AppendVarint([]byte{typ}, at)
 		body = append(body, payload...)
@@ -44,21 +45,54 @@ func FuzzRecordReplay(f *testing.F) {
 	})
 }
 
-// FuzzParseManifest: any MANIFEST body is accepted or rejected without a
-// panic, and what is accepted re-renders to a body that parses to the same
-// layout.
-func FuzzParseManifest(f *testing.F) {
-	f.Add(fmt.Sprintf("mint-data %d\nlayout 3\nshards 8\n", snapshotVersion))
-	f.Add("mint-data 1\nlayout 3\n")
-	f.Add("mint-data 1\nlayout 3\nshards 8\ngarbage")
-	f.Fuzz(func(t *testing.T, body string) {
-		v, l, s, err := parseManifest(body)
-		if err != nil {
+// FuzzOpenStore writes arbitrary bytes as a data directory's WAL and opens
+// it: OpenPersistence must replay them or return an error, never panic. A
+// WAL it accepts, its torn tail now truncated, must reopen under another
+// shard count to the same answers.
+func FuzzOpenStore(f *testing.F) {
+	// Seeds: a seeded store's WAL of two group commits, intact, torn inside
+	// its second group, and cut back to the bare header.
+	dir := f.TempDir()
+	src := NewSharded(0, 2)
+	if err := src.OpenPersistence(PersistConfig{Dir: dir}); err != nil {
+		f.Fatal(err)
+	}
+	seedStore(src)
+	if err := src.FlushPersistence(); err != nil {
+		f.Fatal(err)
+	}
+	src.MarkSampled("tr3", "edge-case")
+	if err := src.ClosePersistence(); err != nil {
+		f.Fatal(err)
+	}
+	wal, err := os.ReadFile(filepath.Join(dir, walName))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(wal)
+	f.Add(wal[:len(wal)-7])
+	f.Add(wal[:fileHeaderLen])
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, walName), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		a := NewSharded(0, 2)
+		if err := a.OpenPersistence(PersistConfig{Dir: dir}); err != nil {
 			return
 		}
-		v2, l2, s2, err := parseManifest(fmt.Sprintf("mint-data %d\nlayout %d\nshards %d\n", v, l, s))
-		if err != nil || v2 != v || l2 != l || s2 != s {
-			t.Fatalf("accepted %q as (%d, %d, %d), whose rendering parses as (%d, %d, %d, %v)", body, v, l, s, v2, l2, s2, err)
+		want := dumpState(a, seedQueryIDs)
+		if err := a.ClosePersistence(); err != nil {
+			t.Fatalf("close: %v", err)
+		}
+		b := NewSharded(0, 3)
+		if err := b.OpenPersistence(PersistConfig{Dir: dir}); err != nil {
+			t.Fatalf("reopening an accepted WAL: %v", err)
+		}
+		defer b.ClosePersistence()
+		if got := dumpState(b, seedQueryIDs); got != want {
+			t.Fatalf("reopened at 3 shards:\n%s\nopened at 2 shards:\n%s", got, want)
 		}
 	})
 }

@@ -1,64 +1,65 @@
 package backend
 
-// The durable storage engine: per-shard snapshot + write-ahead-log files,
-// TTL retention, and size-triggered compaction.
+// The durable storage engine: one snapshot and one write-ahead log per
+// store, TTL retention, and size-triggered compaction.
 //
 // On-disk layout under PersistConfig.Dir:
 //
-//	MANIFEST              format version + live layout number + shard count
-//	l0001-shard-0000.snap versioned snapshot of shard 0 (written atomically)
-//	l0001-shard-0000.wal  mutations accepted by shard 0 since its snapshot
-//	l0001-shard-0001.snap ...
+//	store.snap  versioned snapshot of every shard (written atomically)
+//	store.wal   mutations accepted since that snapshot
 //
-// Recovery replays each shard's snapshot and then its WAL through the same
-// apply path live mutations take; a torn or corrupt WAL tail (the expected
-// residue of a crash mid-append) is truncated at the last intact record.
-// Two mechanisms make recovery crash-consistent end to end:
+// The shard count is an in-memory detail that never reaches the disk.
+// Recovery replays the snapshot and then the WAL through the same apply
+// path live mutations take, and that path routes every record through the
+// shard router, so a directory written with any shard count opens under any
+// other. A torn or corrupt WAL tail (the expected residue of a crash
+// mid-append) is truncated at the last intact record.
 //
-//   - Shard generations. Compaction bumps the shard's generation, makes the
-//     new snapshot durable under it, and only then resets the WAL to the
-//     same generation. A WAL whose generation differs from its snapshot's
-//     is the residue of a crash inside that window; its records are already
-//     contained in the snapshot, so open discards it instead of replaying
-//     records twice.
+// Generations make recovery crash-consistent. Compaction bumps the store's
+// generation, makes the new snapshot durable under it, and only then resets
+// the WAL to the same generation. A WAL older than its snapshot is the
+// residue of a crash inside that window; its records are already in the
+// snapshot, so open discards it instead of replaying records twice. A WAL
+// newer than its snapshot follows a snapshot that is missing, and open
+// refuses the directory rather than drop what that snapshot held.
 //
-//   - Layout numbers. Because replay routes records through the shard
-//     router, a directory written with M shards opens correctly under any
-//     shard count N; when M != N the directory is re-laid-out. The new
-//     layout is written under fresh layout-numbered filenames and committed
-//     by atomically rewriting MANIFEST; a crash before the commit leaves
-//     the old layout untouched (stale half-written layouts are swept on the
-//     next open), a crash after it leaves the new layout complete.
-//
-// Persistence is shard-local by design (the McKenney partitioning
-// argument): each shard appends to its own buffered WAL under its own
-// lock, so one shard's disk activity — including its compaction — never
-// blocks writers on other shards.
+// Lock order: shard locks in ascending index order, then the WAL's lock. An
+// append runs under the lock of the one shard it mutates and then takes the
+// WAL's lock, so the log order of any key's records matches the order of
+// their applies. Compaction takes every shard lock and then the WAL's lock.
+// An append that pushes the WAL past the threshold only marks a compaction
+// due; the public mutation entry points run it once their shard lock is
+// released.
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/intern"
 	"repro/internal/telemetry"
 )
 
-// DefaultSnapshotEveryBytes is the WAL size that triggers a shard's
+// DefaultSnapshotEveryBytes is the per-shard WAL allowance that triggers a
 // compaction when PersistConfig.SnapshotEveryBytes is zero.
 const DefaultSnapshotEveryBytes = 4 << 20
 
-// DefaultSweepInterval is the cadence of the background retention/flush loop
-// when PersistConfig.SweepInterval is zero.
-const DefaultSweepInterval = time.Minute
+// sweepInterval is the cadence of the background retention/flush loop.
+const sweepInterval = time.Minute
 
-// manifestName is the file recording the format version and shard layout.
-const manifestName = "MANIFEST"
+// The two files of a data directory.
+const (
+	snapName = "store.snap"
+	walName  = "store.wal"
+)
 
 // PersistConfig configures the durable storage engine attached by
 // OpenPersistence. Zero values take the package defaults.
@@ -69,13 +70,10 @@ type PersistConfig struct {
 	// than this age (pattern libraries are kept forever — they are the tiny,
 	// deduplicated commonality). 0 keeps everything forever.
 	RetentionTTL time.Duration
-	// SnapshotEveryBytes rewrites a shard's snapshot and resets its WAL once
-	// the WAL exceeds this size. 0 takes DefaultSnapshotEveryBytes.
+	// SnapshotEveryBytes is the WAL allowance per shard: the store's
+	// snapshot is rewritten and its WAL reset once the WAL exceeds this size
+	// times the shard count. 0 takes DefaultSnapshotEveryBytes.
 	SnapshotEveryBytes int64
-	// SweepInterval is the cadence of the background loop that applies
-	// retention and flushes WAL buffers to disk. 0 takes
-	// DefaultSweepInterval.
-	SweepInterval time.Duration
 }
 
 // Group-commit sizing: a pending group seals — one frame, one CRC — once it
@@ -88,18 +86,18 @@ const (
 	walGroupBytes   = 32 << 10
 )
 
-// walFile is one shard's append-side WAL state. Appends run under the
-// owning shard's lock, so mu only arbitrates appends against the background
-// flush loop and compaction.
+// walFile is the append-side WAL state. Appends hold the lock of the shard
+// they mutate, so mu orders appends from different shards and arbitrates
+// them against the background flush loop and compaction.
 type walFile struct {
 	mu    sync.Mutex
 	f     *os.File
 	w     *bufio.Writer
 	bytes int64 // record bytes since the last snapshot (header excluded)
-	// nextCompact is the bytes level that triggers the next compaction
-	// attempt. It is advanced before each attempt, so a failing compaction
-	// (disk full) backs off for another threshold's worth of records
-	// instead of re-encoding the whole shard on every subsequent append.
+	// nextCompact is the bytes level that marks the next compaction due. It
+	// is advanced at each mark, so a failing compaction (disk full) backs
+	// off for another threshold's worth of records instead of re-encoding
+	// the whole store after every subsequent append.
 	nextCompact int64
 	// needsReset marks a WAL whose generation fell behind its snapshot's
 	// because the post-rename reset failed. Appending to such a log would
@@ -118,14 +116,21 @@ type walFile struct {
 	scratch []byte // reusable body/frame encode buffer
 }
 
-// persister is the attached storage engine: one WAL per shard plus the
-// sticky first I/O error and the background loop's lifecycle.
+// persister is the attached storage engine: the WAL, the store's
+// generation, the sticky first I/O error and the background loop's
+// lifecycle.
 type persister struct {
 	dir       string
-	layout    int // filename namespace committed by the manifest
 	threshold int64
-	wals      []*walFile
-	gens      []uint64 // per-shard generation (mutated under the shard's lock)
+	wal       walFile
+	// gen is the generation of the snapshot and of the WAL's header. It is
+	// written only under every shard lock and wal.mu, so holding wal.mu
+	// suffices to read it.
+	gen uint64
+	// compactDue is set by the append that pushes the WAL past threshold;
+	// compactIfDue runs the compaction once the appender's shard lock is
+	// released.
+	compactDue atomic.Bool
 
 	errMu sync.Mutex
 	err   error // first I/O error; surfaced by FlushPersistence/ClosePersistence
@@ -138,14 +143,6 @@ type persister struct {
 	walAppend *telemetry.Histogram
 	walFlush  *telemetry.Histogram
 	slow      *telemetry.Ledger
-}
-
-func snapPath(dir string, layout, i int) string {
-	return filepath.Join(dir, fmt.Sprintf("l%04d-shard-%04d.snap", layout, i))
-}
-
-func walPath(dir string, layout, i int) string {
-	return filepath.Join(dir, fmt.Sprintf("l%04d-shard-%04d.wal", layout, i))
 }
 
 // fsyncDir flushes a directory's entry table, making renames and creations
@@ -171,175 +168,11 @@ func renameSync(tmp, final string) error {
 	return fsyncDir(filepath.Dir(final))
 }
 
-// manifestField parses one "<name> <decimal>\n" line at the head of rest,
-// returning the value and the remainder. Strict: the label, the single
-// space, the all-digit value and the trailing newline must match exactly.
-func manifestField(rest, name string) (val int, tail string, ok bool) {
-	if len(rest) < len(name)+1 || rest[:len(name)] != name || rest[len(name)] != ' ' {
-		return 0, "", false
-	}
-	rest = rest[len(name)+1:]
-	i := 0
-	for i < len(rest) && rest[i] >= '0' && rest[i] <= '9' {
-		val = val*10 + int(rest[i]-'0')
-		i++
-		if val > 1<<30 {
-			return 0, "", false
-		}
-	}
-	if i == 0 || i >= len(rest) || rest[i] != '\n' {
-		return 0, "", false
-	}
-	return val, rest[i+1:], true
-}
-
-// parseManifest strictly decodes a MANIFEST body. Unlike the fmt.Sscanf
-// parser it replaces, it rejects trailing garbage and malformed fields
-// instead of silently ignoring them — a manifest is tiny, hand-editable
-// state whose corruption must fail loudly, not be half-read.
-func parseManifest(body string) (version, layout, shards int, err error) {
-	rest := body
-	var ok bool
-	if version, rest, ok = manifestField(rest, "mint-data"); !ok {
-		return 0, 0, 0, errors.New("bad version line")
-	}
-	if layout, rest, ok = manifestField(rest, "layout"); !ok {
-		return 0, 0, 0, errors.New("bad layout line")
-	}
-	if shards, rest, ok = manifestField(rest, "shards"); !ok {
-		return 0, 0, 0, errors.New("bad shards line")
-	}
-	if rest != "" {
-		return 0, 0, 0, fmt.Errorf("%d trailing bytes", len(rest))
-	}
-	return version, layout, shards, nil
-}
-
-// readManifest parses dir's MANIFEST. ok is false when none exists yet.
-func readManifest(dir string) (layout, shards int, ok bool, err error) {
-	data, err := os.ReadFile(filepath.Join(dir, manifestName))
-	if errors.Is(err, os.ErrNotExist) {
-		return 0, 0, false, nil
-	}
-	if err != nil {
-		return 0, 0, false, err
-	}
-	version, layout, shards, perr := parseManifest(string(data))
-	if perr != nil {
-		return 0, 0, false, fmt.Errorf("backend: malformed %s: %v", manifestName, perr)
-	}
-	if version != snapshotVersion {
-		return 0, 0, false, fmt.Errorf("%w: manifest version %d (want %d)", ErrBadSnapshot, version, snapshotVersion)
-	}
-	if shards < 1 || layout < 1 {
-		return 0, 0, false, fmt.Errorf("backend: malformed %s: layout %d, %d shards", manifestName, layout, shards)
-	}
-	return layout, shards, true, nil
-}
-
-// writeManifest atomically commits a layout: temp file, fsync, rename,
-// directory fsync. The manifest is the single commit point of a re-layout.
-func writeManifest(dir string, layout, shards int) error {
-	body := fmt.Sprintf("mint-data %d\nlayout %d\nshards %d\n", snapshotVersion, layout, shards)
-	final := filepath.Join(dir, manifestName)
-	tmp := final + ".tmp"
-	if err := writeFileSync(tmp, []byte(body)); err != nil {
-		return err
-	}
-	return renameSync(tmp, final)
-}
-
-// parseShardFileName strictly decodes a "l<layout>-shard-<shard>.<ext>"
-// shard filename (the ext still attached by the caller's filepath.Ext).
-// Foreign files in the data directory must never match.
-func parseShardFileName(name string) (layout, shard int, ok bool) {
-	base := name[:len(name)-len(filepath.Ext(name))]
-	if len(base) < 1 || base[0] != 'l' {
-		return 0, 0, false
-	}
-	rest := base[1:]
-	digits := func(s string) (int, int, bool) {
-		v, i := 0, 0
-		for i < len(s) && s[i] >= '0' && s[i] <= '9' {
-			v = v*10 + int(s[i]-'0')
-			i++
-			if v > 1<<30 {
-				return 0, 0, false
-			}
-		}
-		return v, i, i >= 4 // %04d renders at least four digits
-	}
-	var n int
-	if layout, n, ok = digits(rest); !ok {
-		return 0, 0, false
-	}
-	rest = rest[n:]
-	const sep = "-shard-"
-	if len(rest) < len(sep) || rest[:len(sep)] != sep {
-		return 0, 0, false
-	}
-	rest = rest[len(sep):]
-	if shard, n, ok = digits(rest); !ok || n != len(rest) {
-		return 0, 0, false
-	}
-	return layout, shard, true
-}
-
-// sweepStaleLayouts removes shard files that do not belong to the committed
-// layout: older layouts a finished re-layout left behind, or newer ones a
-// crashed re-layout never committed.
-func sweepStaleLayouts(dir string, keep int) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return
-	}
-	for _, e := range entries {
-		name := e.Name()
-		ext := filepath.Ext(name)
-		if ext != ".snap" && ext != ".wal" && ext != ".tmp" {
-			continue
-		}
-		layout, _, ok := parseShardFileName(name)
-		if !ok {
-			continue
-		}
-		if layout != keep || ext == ".tmp" {
-			os.Remove(filepath.Join(dir, name))
-		}
-	}
-}
-
-// orphanedShardData reports whether dir holds a shard file with actual
-// records despite having no MANIFEST — a lost or damaged manifest, not a
-// fresh directory. Header-only (or smaller) files are the residue of a
-// first open that crashed before its manifest commit, when no data could
-// have existed yet; those are safe to re-initialize over.
-func orphanedShardData(dir string) (string, bool) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return "", false
-	}
-	for _, e := range entries {
-		name := e.Name()
-		ext := filepath.Ext(name)
-		if ext != ".snap" && ext != ".wal" {
-			continue
-		}
-		if _, _, ok := parseShardFileName(name); !ok {
-			continue
-		}
-		if st, err := e.Info(); err == nil && st.Size() > fileHeaderLen {
-			return name, true
-		}
-	}
-	return "", false
-}
-
-// OpenPersistence attaches the durable storage engine: existing snapshots
-// and WALs under cfg.Dir are replayed into the (expected-empty) store, torn
-// WAL tails are truncated, and from then on every mutation is logged to its
-// shard's WAL. Call before serving traffic; it is not synchronized with
-// concurrent use. The engine is detached by ClosePersistence.
+// OpenPersistence attaches the durable storage engine: an existing
+// snapshot and WAL under cfg.Dir are replayed into the (expected-empty)
+// store, a torn WAL tail is truncated, and from then on every mutation is
+// logged to the WAL. Call before serving traffic; it is not synchronized
+// with concurrent use. The engine is detached by ClosePersistence.
 func (b *Backend) OpenPersistence(cfg PersistConfig) error {
 	if b.persist != nil {
 		return errors.New("backend: persistence already open")
@@ -350,162 +183,115 @@ func (b *Backend) OpenPersistence(cfg PersistConfig) error {
 	if cfg.SnapshotEveryBytes == 0 {
 		cfg.SnapshotEveryBytes = DefaultSnapshotEveryBytes
 	}
-	if cfg.SweepInterval == 0 {
-		cfg.SweepInterval = DefaultSweepInterval
-	}
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return err
 	}
-	layout, oldShards, haveManifest, err := readManifest(cfg.Dir)
+	// Format 3 and older kept one snapshot and one WAL per shard, committed
+	// by a MANIFEST. There is no reader for them.
+	if _, err := os.Lstat(filepath.Join(cfg.Dir, "MANIFEST")); err == nil {
+		return fmt.Errorf("%w: %s holds a MANIFEST, the per-shard layout of format 3 or older (want %d)", ErrBadSnapshot, cfg.Dir, snapshotVersion)
+	}
+	snapPath := filepath.Join(cfg.Dir, snapName)
+	walPath := filepath.Join(cfg.Dir, walName)
+
+	var gen uint64
+	if data, err := os.ReadFile(snapPath); err == nil {
+		if gen, err = b.loadSnapshot(data); err != nil {
+			return fmt.Errorf("replaying %s: %w", snapPath, err)
+		}
+	} else if !errors.Is(err, os.ErrNotExist) {
+		return err
+	}
+	data, err := os.ReadFile(walPath)
+	fresh := errors.Is(err, os.ErrNotExist)
+	if err != nil && !fresh {
+		return err
+	}
+	// keep is the verified WAL prefix. It stays 0 — recover to an empty log
+	// — for a short or foreign header, and for a WAL older than the
+	// snapshot: a crash between compaction's snapshot rename and WAL reset,
+	// whose records are all in the snapshot. A whole WAL header of another
+	// format version is refused like a snapshot of one, before the file is
+	// touched.
+	keep := int64(0)
+	walGen, hdrErr := checkHeader(data, walMagic)
+	if hdrErr != nil && len(data) >= fileHeaderLen && bytes.HasPrefix(data, walMagic[:]) {
+		return fmt.Errorf("replaying %s: %w", walPath, hdrErr)
+	}
+	if hdrErr == nil {
+		if walGen > gen {
+			return fmt.Errorf("%w: %s is generation %d but %s is generation %d: the snapshot it follows is missing",
+				ErrBadSnapshot, walPath, walGen, snapPath, gen)
+		}
+		if walGen == gen {
+			consumed, err := scanRecords(data[fileHeaderLen:], b.applyRecord)
+			if err != nil {
+				return fmt.Errorf("replaying %s: %w", walPath, err)
+			}
+			keep = int64(fileHeaderLen + consumed)
+		}
+	}
+
+	f, err := os.OpenFile(walPath, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return err
 	}
-	if !haveManifest {
-		// Refuse to re-initialize over real data whose manifest went
-		// missing — that is a damaged directory, and silently compacting
-		// empty state over it would destroy the shard files.
-		if name, orphaned := orphanedShardData(cfg.Dir); orphaned {
-			return fmt.Errorf("%w: %s has shard data (%s) but no %s", ErrBadSnapshot, cfg.Dir, name, manifestName)
-		}
-		layout = 1
+	if fresh {
+		err = fsyncDir(cfg.Dir)
 	}
-	// Drop the residue of older layouts and of re-layouts that never
-	// reached their manifest commit.
-	sweepStaleLayouts(cfg.Dir, layout)
-
-	// Phase 1 — replay the committed layout. Records route through the
-	// shard router, so the on-disk shard count need not match ours.
-	walKeep := map[int]int64{} // old shard index -> verified WAL prefix length
-	snapGens := map[int]uint64{}
-	if haveManifest {
-		for i := 0; i < oldShards; i++ {
-			if data, err := os.ReadFile(snapPath(cfg.Dir, layout, i)); err == nil {
-				gen, err := b.loadSnapshot(data)
-				if err != nil {
-					return fmt.Errorf("replaying %s: %w", snapPath(cfg.Dir, layout, i), err)
-				}
-				snapGens[i] = gen
-			} else if !errors.Is(err, os.ErrNotExist) {
-				return err
-			}
-			data, err := os.ReadFile(walPath(cfg.Dir, layout, i))
-			if errors.Is(err, os.ErrNotExist) {
-				continue
-			}
-			if err != nil {
-				return err
-			}
-			walGen, hdrErr := checkHeader(data, walMagic)
-			if hdrErr != nil || walGen != snapGens[i] {
-				// Unreadable header, or a WAL from before the shard's
-				// current snapshot (a crash between compaction's snapshot
-				// rename and WAL reset): every record is already in the
-				// snapshot. Recover to an empty log.
-				walKeep[i] = 0
-				continue
-			}
-			consumed, err := scanRecords(data[fileHeaderLen:], b.applyRecord)
-			if err != nil {
-				return fmt.Errorf("replaying %s: %w", walPath(cfg.Dir, layout, i), err)
-			}
-			walKeep[i] = int64(fileHeaderLen + consumed)
-		}
+	if err == nil {
+		err = f.Truncate(keep)
 	}
+	if err == nil {
+		_, err = f.Seek(keep, 0)
+	}
+	if err != nil {
+		f.Close()
+		return err
+	}
+	// The residue of a compaction that crashed before its rename.
+	os.Remove(snapPath + ".tmp")
 
-	// Phase 2 — open the append side for every current shard, truncating
-	// whatever replay refused past. A shard-count change targets the next
-	// layout number; its files start fresh and the old layout stays intact
-	// until the manifest commit below.
-	relayout := !haveManifest || oldShards != len(b.shards)
-	targetLayout := layout
-	if relayout && haveManifest {
-		targetLayout = layout + 1
+	// A compaction rewrites every shard, so the threshold grows with the
+	// shard count: snapshot bytes written per WAL byte do not depend on how
+	// finely the store is locked.
+	threshold := cfg.SnapshotEveryBytes * int64(len(b.shards))
+	if threshold/int64(len(b.shards)) != cfg.SnapshotEveryBytes {
+		threshold = math.MaxInt64
 	}
 	p := &persister{
 		dir:       cfg.Dir,
-		layout:    targetLayout,
-		threshold: cfg.SnapshotEveryBytes,
-		wals:      make([]*walFile, len(b.shards)),
-		gens:      make([]uint64, len(b.shards)),
+		threshold: threshold,
+		gen:       gen,
 		stop:      make(chan struct{}),
 		done:      make(chan struct{}),
 		walAppend: b.tel.Histogram("mint_wal_append_seconds", "",
-			"WAL record append latency (group buffering; includes the triggered compaction when the append trips it)."),
+			"WAL record append latency (group buffering)."),
 		walFlush: b.tel.Histogram("mint_wal_flush_seconds", "",
-			"WAL group-commit flush latency: seal + buffered write + fsync across shards."),
+			"WAL group-commit flush latency: seal + buffered write + fsync."),
 		slow: b.slow,
 	}
-	for i := range b.shards {
-		f, err := os.OpenFile(walPath(cfg.Dir, targetLayout, i), os.O_RDWR|os.O_CREATE, 0o644)
-		if err != nil {
-			p.closeFiles()
-			return err
-		}
-		size := int64(0)
-		if st, err := f.Stat(); err == nil {
-			size = st.Size()
-		}
-		if !relayout {
-			p.gens[i] = snapGens[i]
-			if keep, ok := walKeep[i]; ok && keep < size {
-				if err := f.Truncate(keep); err != nil {
-					p.closeFiles()
-					return err
-				}
-				size = keep
-			}
-		}
-		if size < fileHeaderLen {
-			if err := f.Truncate(0); err != nil {
-				p.closeFiles()
-				return err
-			}
-			size = 0
-		}
-		if _, err := f.Seek(size, 0); err != nil {
-			p.closeFiles()
-			return err
-		}
-		w := &walFile{f: f, w: bufio.NewWriter(f), nextCompact: p.threshold}
-		if size == 0 {
-			w.w.Write(fileHeader(walMagic, p.gens[i]))
-		} else {
-			w.bytes = size - fileHeaderLen
-		}
-		p.wals[i] = w
+	w := &p.wal
+	w.f, w.w, w.nextCompact = f, bufio.NewWriter(f), p.threshold
+	if keep == 0 {
+		w.w.Write(fileHeader(walMagic, gen))
+	} else {
+		w.bytes = keep - fileHeaderLen
 	}
 	b.persist = p
 	b.retentionTTL = int64(cfg.RetentionTTL)
-
-	// Phase 3 — commit a re-layout: materialize every current shard under
-	// the new layout, fsync it all, then swing the manifest. Only after the
-	// commit is the old layout removed.
-	if relayout {
-		if err := b.Compact(); err != nil {
-			b.detachPersistence()
-			return err
-		}
-		if err := writeManifest(cfg.Dir, targetLayout, len(b.shards)); err != nil {
-			b.detachPersistence()
-			return err
-		}
-		if targetLayout != layout {
-			sweepStaleLayouts(cfg.Dir, targetLayout)
-		}
-	}
-
 	if cfg.RetentionTTL > 0 {
 		b.SweepExpired()
 	}
-	go b.retentionLoop(p, cfg.SweepInterval, cfg.RetentionTTL > 0)
+	go b.retentionLoop(p, cfg.RetentionTTL > 0)
 	return nil
 }
 
 // retentionLoop is the background duty cycle: apply TTL retention and push
-// WAL buffers to disk so the durability lag is bounded by the interval.
-func (b *Backend) retentionLoop(p *persister, interval time.Duration, sweep bool) {
+// the WAL buffer to disk so the durability lag is bounded by the interval.
+func (b *Backend) retentionLoop(p *persister, sweep bool) {
 	defer close(p.done)
-	t := time.NewTicker(interval)
+	t := time.NewTicker(sweepInterval)
 	defer t.Stop()
 	for {
 		select {
@@ -515,7 +301,7 @@ func (b *Backend) retentionLoop(p *persister, interval time.Duration, sweep bool
 			if sweep {
 				b.SweepExpired()
 			}
-			p.flush()
+			p.flush(true)
 		}
 	}
 }
@@ -539,15 +325,16 @@ func (p *persister) firstErr() error {
 	return p.err
 }
 
-// logLocked appends one record to shard idx's WAL group and, when the WAL
-// has outgrown the snapshot threshold, compacts the shard in place. The
+// logLocked appends one record to the WAL's pending group and marks a
+// compaction due when the WAL has outgrown the snapshot threshold. The
 // payload is encoded by enc straight into the WAL's reused scratch buffer —
-// no per-record allocation. The caller holds s.mu — which is what
-// guarantees the WAL's record order matches the order mutations were
-// applied to the shard.
-func (p *persister) logLocked(idx int, s *shard, typ byte, at int64, enc func(dst []byte) []byte) {
+// no per-record allocation. The caller holds the lock of shard idx, the
+// shard the record mutates — which is what guarantees the WAL's record
+// order matches the order mutations were applied; idx only labels the
+// slow-op ledger entry.
+func (p *persister) logLocked(idx int, typ byte, at int64, enc func(dst []byte) []byte) {
 	start := time.Now()
-	p.logLockedTimed(idx, s, typ, at, enc)
+	p.logLockedTimed(typ, at, enc)
 	d := time.Since(start)
 	p.walAppend.Observe(d)
 	if p.slow.Exceeds(d) {
@@ -555,18 +342,18 @@ func (p *persister) logLocked(idx int, s *shard, typ byte, at int64, enc func(ds
 	}
 }
 
-func (p *persister) logLockedTimed(idx int, s *shard, typ byte, at int64, enc func(dst []byte) []byte) {
-	w := p.wals[idx]
+func (p *persister) logLockedTimed(typ byte, at int64, enc func(dst []byte) []byte) {
+	w := &p.wal
 	w.mu.Lock()
+	defer w.mu.Unlock()
 	if w.needsReset {
 		// The WAL's generation is behind its snapshot's (a failed reset
 		// after a successful compaction). Recovery discards such a log, so
 		// writing into it would only pretend durability: retry the reset
 		// first, and on failure drop the record with the error latched —
 		// the mutation stays correct in memory either way.
-		if err := p.resetWALLocked(w, p.gens[idx]); err != nil {
+		if err := p.resetWALLocked(w, p.gen); err != nil {
 			p.setErr(err)
-			w.mu.Unlock()
 			return
 		}
 	}
@@ -583,21 +370,12 @@ func (p *persister) logLockedTimed(idx int, s *shard, typ byte, at int64, enc fu
 	w.group = append(w.group, body...)
 	w.groupN++
 	w.bytes += int64(len(body)) + 2 // body plus its share of group framing
-	var err error
 	if w.groupN >= walGroupRecords || len(w.group) >= walGroupBytes {
-		err = p.sealGroupLocked(w)
+		p.setErr(p.sealGroupLocked(w))
 	}
-	full := p.threshold > 0 && w.bytes >= w.nextCompact
-	if full {
+	if p.threshold > 0 && w.bytes >= w.nextCompact {
 		w.nextCompact = w.bytes + p.threshold // back off if the attempt fails
-	}
-	w.mu.Unlock()
-	if err != nil {
-		p.setErr(err)
-		return
-	}
-	if full {
-		p.compactShardLocked(idx, s)
+		p.compactDue.Store(true)
 	}
 }
 
@@ -638,38 +416,56 @@ func (p *persister) resetWALLocked(w *walFile, gen uint64) error {
 	return nil
 }
 
-// compactShardLocked rewrites shard idx's snapshot from its live state
-// under a bumped generation and resets its WAL to that generation. The
-// caller holds s.mu, so no mutation can slip between the state capture and
-// the WAL reset; the triggering writer pays the encode and two fsyncs, and
-// the shard's other writers and readers stall for that disk write. That
-// stall is the deliberate price of the crash-safety ordering — the new
-// snapshot must be durable (temp file + fsync + rename + directory fsync)
-// before the WAL it subsumes is dropped, and moving the write off the lock
-// would need a second, rotated log per shard. It is bounded by
-// SnapshotEveryBytes and stays strictly shard-local. If the post-rename
-// WAL reset fails, the log is marked needsReset so no append lands in a
-// file recovery would discard (see logLocked).
-func (p *persister) compactShardLocked(idx int, s *shard) {
-	gen := p.gens[idx] + 1
-	buf := encodeShardSnapshot(s, gen)
-	final := snapPath(p.dir, p.layout, idx)
+// compactIfDue runs the compaction an append marked due. The public
+// mutation entry points call it after their apply has released its shard
+// lock; of the callers that see the mark, one wins it and compacts.
+func (b *Backend) compactIfDue() {
+	if p := b.persist; p != nil && p.compactDue.Load() && p.compactDue.CompareAndSwap(true, false) {
+		b.Compact() // an I/O error is latched; FlushPersistence reports it
+	}
+}
+
+// Compact rewrites the snapshot from live state under a bumped generation
+// and resets the WAL to that generation — the explicit form of what the
+// engine does when the WAL outgrows its threshold. It holds every
+// shard lock, so writers and queries stall for the encode and two fsyncs.
+// That stall is the price of the crash-safety ordering: the new snapshot
+// must be durable (temp file + fsync + rename + directory fsync) before the
+// WAL it subsumes is dropped, and moving the write off the locks would need
+// a second, rotated log. SnapshotEveryBytes bounds how often it runs. If
+// the post-rename WAL reset fails, the log is marked needsReset so no append
+// lands in a file recovery would discard. A no-op without persistence
+// attached.
+func (b *Backend) Compact() error {
+	p := b.persist
+	if p == nil {
+		return nil
+	}
+	for _, s := range b.shards {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+	}
+	w := &p.wal
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	gen := p.gen + 1
+	buf := fileHeader(snapMagic, gen)
+	for _, s := range b.shards {
+		buf = appendShardSnapshot(buf, s)
+	}
+	final := filepath.Join(p.dir, snapName)
 	tmp := final + ".tmp"
 	if err := writeFileSync(tmp, buf); err != nil {
 		p.setErr(err)
-		return
+		return p.firstErr()
 	}
 	if err := renameSync(tmp, final); err != nil {
 		p.setErr(err)
-		return
+		return p.firstErr()
 	}
-	p.gens[idx] = gen
-	w := p.wals[idx]
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if err := p.resetWALLocked(w, gen); err != nil {
-		p.setErr(err)
-	}
+	p.gen = gen
+	p.setErr(p.resetWALLocked(w, gen))
+	return p.firstErr()
 }
 
 // writeFileSync writes data to path and fsyncs before closing.
@@ -689,48 +485,36 @@ func writeFileSync(path string, data []byte) error {
 	return f.Close()
 }
 
-// flush seals every WAL's pending group, pushes the buffers to disk and
-// fsyncs — the durability point group commit preserves.
-func (p *persister) flush() {
+// flush seals the WAL's pending group and pushes the buffer to the
+// operating system, and with fsync on to durable storage. Returns the
+// engine's first I/O error, if any.
+func (p *persister) flush(fsync bool) error {
 	start := time.Now()
-	for _, w := range p.wals {
-		w.mu.Lock()
-		if err := p.sealGroupLocked(w); err != nil {
-			p.setErr(err)
-		} else if err := w.w.Flush(); err != nil {
-			p.setErr(err)
-		} else if err := w.f.Sync(); err != nil {
-			p.setErr(err)
-		}
-		w.mu.Unlock()
+	w := &p.wal
+	w.mu.Lock()
+	err := p.sealGroupLocked(w)
+	if err == nil {
+		err = w.w.Flush()
 	}
+	if err == nil && fsync {
+		err = w.f.Sync()
+	}
+	w.mu.Unlock()
+	p.setErr(err)
 	d := time.Since(start)
 	p.walFlush.Observe(d)
 	if p.slow.Exceeds(d) {
-		p.slow.Record("wal-flush", "fsync", d, 0, -1)
-	}
-}
-
-func (p *persister) closeFiles() {
-	for _, w := range p.wals {
-		if w != nil && w.f != nil {
-			w.f.Close()
+		kind := "sync"
+		if fsync {
+			kind = "fsync"
 		}
+		p.slow.Record("wal-flush", kind, d, 0, -1)
 	}
+	return p.firstErr()
 }
 
-// detachPersistence tears the engine down without flushing (used on open
-// failure, before any mutation could have been logged).
-func (b *Backend) detachPersistence() {
-	if b.persist == nil {
-		return
-	}
-	b.persist.closeFiles()
-	b.persist = nil
-}
-
-// FlushPersistence forces every shard's WAL buffer to durable storage. A
-// query answered after FlushPersistence returns is answerable again after a
+// FlushPersistence forces the WAL buffer to durable storage. A query
+// answered after FlushPersistence returns is answerable again after a
 // crash and reopen. Returns the engine's first I/O error, if any; a no-op
 // without persistence attached.
 func (b *Backend) FlushPersistence() error {
@@ -738,39 +522,22 @@ func (b *Backend) FlushPersistence() error {
 	if p == nil {
 		return nil
 	}
-	p.flush()
-	return p.firstErr()
+	return p.flush(true)
 }
 
-// SyncWAL seals every shard's pending WAL group and pushes the buffered
-// records to the operating system — no fsync. It is the acknowledgement
-// point of the remote ingest path: once SyncWAL returns, the acknowledged
-// records survive a crash of this process (the page cache outlives it),
-// though not a host power loss — that stronger point is FlushPersistence,
-// which the client's durable flush and the daemon's shutdown path call.
-// Returns the engine's first I/O error, if any; a no-op without persistence
-// attached.
+// SyncWAL seals the pending WAL group and pushes the buffered records to
+// the operating system — no fsync. It is the acknowledgement point of the
+// remote ingest path: once SyncWAL returns, the acknowledged records
+// survive a crash of this process (the page cache outlives it), though not
+// a host power loss — that stronger point is FlushPersistence, which the
+// client's durable flush and the daemon's shutdown path call. Returns the
+// engine's first I/O error, if any; a no-op without persistence attached.
 func (b *Backend) SyncWAL() error {
 	p := b.persist
 	if p == nil {
 		return nil
 	}
-	start := time.Now()
-	for _, w := range p.wals {
-		w.mu.Lock()
-		if err := p.sealGroupLocked(w); err != nil {
-			p.setErr(err)
-		} else if err := w.w.Flush(); err != nil {
-			p.setErr(err)
-		}
-		w.mu.Unlock()
-	}
-	d := time.Since(start)
-	p.walFlush.Observe(d)
-	if p.slow.Exceeds(d) {
-		p.slow.Record("wal-flush", "sync", d, 0, -1)
-	}
-	return p.firstErr()
+	return p.flush(false)
 }
 
 // PersistErr returns the durable storage engine's sticky first I/O error —
@@ -784,26 +551,10 @@ func (b *Backend) PersistErr() error {
 	return p.firstErr()
 }
 
-// Compact rewrites every shard's snapshot from live state and resets its
-// WAL — the explicit form of what the engine does per shard when a WAL
-// outgrows SnapshotEveryBytes. A no-op without persistence attached.
-func (b *Backend) Compact() error {
-	p := b.persist
-	if p == nil {
-		return nil
-	}
-	for i, s := range b.shards {
-		s.mu.Lock()
-		p.compactShardLocked(i, s)
-		s.mu.Unlock()
-	}
-	return p.firstErr()
-}
-
-// ClosePersistence stops the retention loop, flushes and closes the WAL
-// files, and detaches the engine (later mutations stay memory-only). Safe
-// to call without persistence attached; must not race with concurrent
-// writes. Returns the engine's first I/O error, if any.
+// ClosePersistence stops the retention loop, flushes and closes the WAL,
+// and detaches the engine (later mutations stay memory-only). Safe to call
+// without persistence attached; must not race with concurrent writes.
+// Returns the engine's first I/O error, if any.
 func (b *Backend) ClosePersistence() error {
 	p := b.persist
 	if p == nil {
@@ -811,8 +562,8 @@ func (b *Backend) ClosePersistence() error {
 	}
 	close(p.stop)
 	<-p.done
-	p.flush()
-	p.closeFiles()
+	p.flush(true)
+	p.setErr(p.wal.f.Close())
 	b.persist = nil
 	return p.firstErr()
 }

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -174,7 +175,7 @@ func TestWALTruncatedTailRecovery(t *testing.T) {
 
 	// Simulate a crash mid-append: a torn frame at the end of the WAL (a
 	// length prefix promising more bytes than were written).
-	wal := walPath(dir, 1, 0)
+	wal := filepath.Join(dir, walName)
 	pre, err := os.ReadFile(wal)
 	if err != nil {
 		t.Fatal(err)
@@ -225,7 +226,7 @@ func TestWALCorruptRecordDropsSuffix(t *testing.T) {
 
 	// Flip the WAL's final byte: the last group's CRC no longer verifies,
 	// so replay must keep m1 and m2 and truncate m3's group away.
-	wal := walPath(dir, 1, 0)
+	wal := filepath.Join(dir, walName)
 	data, err := os.ReadFile(wal)
 	if err != nil {
 		t.Fatal(err)
@@ -255,7 +256,7 @@ func TestWALGarbageHeaderRecoversEmpty(t *testing.T) {
 	if err := a.ClosePersistence(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	if err := os.WriteFile(walPath(dir, 1, 0), []byte("not a wal"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, walName), []byte("not a wal"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	b := openPersistent(t, 1, PersistConfig{Dir: dir})
@@ -279,7 +280,7 @@ func TestCorruptSnapshotFailsOpen(t *testing.T) {
 	if err := a.ClosePersistence(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	snap := snapPath(dir, 1, 0)
+	snap := filepath.Join(dir, snapName)
 	data, err := os.ReadFile(snap)
 	if err != nil {
 		t.Fatal(err)
@@ -303,10 +304,10 @@ func TestCompactionThresholdRewritesSnapshot(t *testing.T) {
 	if err := a.FlushPersistence(); err != nil {
 		t.Fatalf("flush: %v", err)
 	}
-	if st, err := os.Stat(walPath(dir, 1, 0)); err != nil || st.Size() != fileHeaderLen {
+	if st, err := os.Stat(filepath.Join(dir, walName)); err != nil || st.Size() != fileHeaderLen {
 		t.Fatalf("WAL not reset by compaction: size %v err %v", st, err)
 	}
-	if st, err := os.Stat(snapPath(dir, 1, 0)); err != nil || st.Size() <= fileHeaderLen {
+	if st, err := os.Stat(filepath.Join(dir, snapName)); err != nil || st.Size() <= fileHeaderLen {
 		t.Fatalf("snapshot missing after compaction: %v err %v", st, err)
 	}
 	if err := a.ClosePersistence(); err != nil {
@@ -332,16 +333,16 @@ func TestReopenWithDifferentShardCount(t *testing.T) {
 	if got := dumpState(b, seedQueryIDs); got != want {
 		t.Fatalf("reshard 4->2 mismatch:\nwant:\n%s\ngot:\n%s", want, got)
 	}
+	// Resharding is plain replay: after a compaction the directory holds
+	// the store's two files whatever the shard count.
+	if err := b.Compact(); err != nil {
+		t.Fatalf("compact: %v", err)
+	}
 	if err := b.ClosePersistence(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	// The re-layout must have committed a new layout in the manifest and
-	// swept the old layout's files.
-	if layout, n, ok, err := readManifest(dir); err != nil || !ok || layout != 2 || n != 2 {
-		t.Fatalf("manifest after reshard: layout=%d n=%d ok=%v err=%v", layout, n, ok, err)
-	}
-	if _, err := os.Stat(snapPath(dir, 1, 3)); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("stale layout-1 snapshot survived reshard: %v", err)
+	if got := strings.Join(dirNames(t, dir), " "); got != snapName+" "+walName {
+		t.Fatalf("data directory after compaction holds %s", got)
 	}
 
 	c := openPersistent(t, 8, PersistConfig{Dir: dir})
@@ -367,7 +368,7 @@ func TestCrashBetweenSnapshotRenameAndWALReset(t *testing.T) {
 	// Save the full pre-compaction WAL, compact (snapshot gen 1, WAL
 	// reset), then put the old generation-0 WAL back: exactly the state a
 	// crash between the snapshot rename and the WAL truncate leaves.
-	preWAL, err := os.ReadFile(walPath(dir, 1, 0))
+	preWAL, err := os.ReadFile(filepath.Join(dir, walName))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +378,7 @@ func TestCrashBetweenSnapshotRenameAndWALReset(t *testing.T) {
 	if err := a.ClosePersistence(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	if err := os.WriteFile(walPath(dir, 1, 0), preWAL, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, walName), preWAL, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -385,44 +386,6 @@ func TestCrashBetweenSnapshotRenameAndWALReset(t *testing.T) {
 	defer b.ClosePersistence()
 	if got := dumpState(b, seedQueryIDs); got != want {
 		t.Fatalf("stale WAL was double-applied:\nwant:\n%s\ngot:\n%s", want, got)
-	}
-}
-
-// TestCrashedReshardLeavesOldLayoutIntact covers the re-layout crash
-// window: new-layout files exist but the manifest was never swung. Open
-// must recover entirely from the committed old layout and sweep the
-// half-written one.
-func TestCrashedReshardLeavesOldLayoutIntact(t *testing.T) {
-	dir := t.TempDir()
-	a := openPersistent(t, 4, PersistConfig{Dir: dir})
-	seedStore(a)
-	want := dumpState(a, seedQueryIDs)
-	if err := a.ClosePersistence(); err != nil {
-		t.Fatalf("close: %v", err)
-	}
-	// Fabricate a crashed 4->2 re-layout: a partial layout-2 snapshot (here:
-	// a copy of one layout-1 shard, i.e. a subset of the data) with no
-	// manifest commit.
-	partial, err := os.ReadFile(walPath(dir, 1, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(snapPath(dir, 2, 0), partial, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(walPath(dir, 2, 0)+".tmp", []byte("junk"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	b := openPersistent(t, 2, PersistConfig{Dir: dir})
-	if got := dumpState(b, seedQueryIDs); got != want {
-		t.Fatalf("recovery from crashed reshard mismatch:\nwant:\n%s\ngot:\n%s", want, got)
-	}
-	if err := b.ClosePersistence(); err != nil {
-		t.Fatalf("close: %v", err)
-	}
-	if layout, n, ok, err := readManifest(dir); err != nil || !ok || layout != 2 || n != 2 {
-		t.Fatalf("manifest after recovered reshard: layout=%d n=%d ok=%v err=%v", layout, n, ok, err)
 	}
 }
 
@@ -562,83 +525,108 @@ func TestRetentionSurvivesReopen(t *testing.T) {
 	}
 }
 
-// TestMissingManifestWithDataRefusesOpen: a directory holding real shard
-// data but no MANIFEST is damaged, not fresh — re-initializing would
-// compact empty state over the existing snapshots. Header-only residue of
-// a first open that crashed before its manifest commit is still accepted.
-func TestMissingManifestWithDataRefusesOpen(t *testing.T) {
+// TestMissingSnapshotRefusesOpen: a WAL newer than its snapshot follows a
+// snapshot that went missing. Replaying it alone would silently drop what
+// the snapshot held, so open refuses the directory and leaves it as it
+// was; restoring the snapshot recovers every record. A header-only WAL
+// with no snapshot is a fresh store and still opens.
+func TestMissingSnapshotRefusesOpen(t *testing.T) {
 	dir := t.TempDir()
 	a := openPersistent(t, 1, PersistConfig{Dir: dir})
 	seedStore(a)
+	if err := a.Compact(); err != nil {
+		t.Fatalf("compact: %v", err)
+	}
+	a.MarkSampled("tr-late", "edge-case")
+	want := dumpState(a, append(seedQueryIDs, "tr-late"))
 	if err := a.ClosePersistence(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	if err := os.Remove(filepath.Join(dir, manifestName)); err != nil {
+	snapPath := filepath.Join(dir, snapName)
+	snap, err := os.ReadFile(snapPath)
+	if err != nil {
 		t.Fatal(err)
 	}
+	if err := os.Remove(snapPath); err != nil {
+		t.Fatal(err)
+	}
+	before := dirContents(t, dir)
 	b := NewSharded(0, 1)
 	if err := b.OpenPersistence(PersistConfig{Dir: dir}); !errors.Is(err, ErrBadSnapshot) {
-		t.Fatalf("open over orphaned data: want ErrBadSnapshot, got %v", err)
+		t.Fatalf("open without the snapshot: want ErrBadSnapshot, got %v", err)
 	}
-	// The refused open must not have damaged anything: restoring the
-	// manifest recovers the full store.
-	if err := writeManifest(dir, 1, 1); err != nil {
+	if after := dirContents(t, dir); after != before {
+		t.Fatalf("refused open changed the directory:\nbefore %s\nafter  %s", before, after)
+	}
+
+	if err := os.WriteFile(snapPath, snap, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	c := openPersistent(t, 1, PersistConfig{Dir: dir})
 	defer c.ClosePersistence()
-	if c.SpanPatternCount() != 2 || !c.Sampled("tr1") {
-		t.Fatal("store damaged by the refused open")
+	if got := dumpState(c, append(seedQueryIDs, "tr-late")); got != want || !c.Sampled("tr-late") {
+		t.Fatalf("restored snapshot did not recover the store:\nwant:\n%s\ngot:\n%s", want, got)
 	}
 
-	// Crashed-first-init residue (header-only WAL, no manifest) is fine.
 	fresh := t.TempDir()
-	if err := os.WriteFile(walPath(fresh, 1, 0), fileHeader(walMagic, 0), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(fresh, walName), fileHeader(walMagic, 0), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	d := openPersistent(t, 1, PersistConfig{Dir: fresh})
 	defer d.ClosePersistence()
 }
 
-func TestManifestRejectsGarbage(t *testing.T) {
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, manifestName), []byte("what is this"), 0o644); err != nil {
+// dirNames lists a directory's entries in name order.
+func dirNames(t *testing.T, dir string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
-	b := NewSharded(0, 1)
-	if err := b.OpenPersistence(PersistConfig{Dir: dir}); err == nil {
-		t.Fatal("open accepted a garbage manifest")
+	names := make([]string, len(entries))
+	for i, e := range entries {
+		names[i] = e.Name()
 	}
+	return names
 }
 
-// snapshotFilterBytes sums the Bloom filter payload bytes the snapshot
-// writer put into dir's snapshot files, read back from the files themselves.
-func snapshotFilterBytes(t *testing.T, dir string) int64 {
+// dirContents renders every file of a directory, name and bytes, so a test
+// can check that an operation left the directory byte-identical.
+func dirContents(t *testing.T, dir string) string {
 	t.Helper()
-	snaps, err := filepath.Glob(filepath.Join(dir, "*.snap"))
-	if err != nil || len(snaps) == 0 {
-		t.Fatalf("no snapshot files in %s: %v", dir, err)
-	}
-	var total int64
-	for _, path := range snaps {
-		data, err := os.ReadFile(path)
+	var sb strings.Builder
+	for _, name := range dirNames(t, dir) {
+		data, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
 			t.Fatal(err)
 		}
-		n, err := scanRecords(data[fileHeaderLen:], func(typ byte, _ int64, payload []byte) error {
-			if typ != recBloom {
-				return nil
-			}
-			d := wire.NewDecoder(payload)
-			d.Str()  // node
-			d.Str()  // pattern ID
-			d.Bool() // full
-			total += int64(len(d.Bytes()))
-			return d.Done()
-		})
-		if err != nil || n != len(data)-fileHeaderLen {
-			t.Fatalf("%s: scanned %d of %d bytes: %v", path, n, len(data)-fileHeaderLen, err)
+		fmt.Fprintf(&sb, "%s=%x;", name, data)
+	}
+	return sb.String()
+}
+
+// snapshotFilterBytes sums the Bloom filter payload bytes the snapshot
+// writer put into dir's snapshot, read back from the file itself.
+func snapshotFilterBytes(t *testing.T, dir string) int64 {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(dir, snapName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var total int64
+	n, err := scanRecords(data[fileHeaderLen:], func(typ byte, _ int64, payload []byte) error {
+		if typ != recBloom {
+			return nil
 		}
+		d := wire.NewDecoder(payload)
+		d.Str()  // node
+		d.Str()  // pattern ID
+		d.Bool() // full
+		total += int64(len(d.Bytes()))
+		return d.Done()
+	})
+	if err != nil || n != len(data)-fileHeaderLen {
+		t.Fatalf("snapshot: scanned %d of %d bytes: %v", n, len(data)-fileHeaderLen, err)
 	}
 	return total
 }
@@ -727,13 +715,13 @@ func TestBloomStorageIsPersistedBytes(t *testing.T) {
 	}
 }
 
-// TestVersion2DataDirRefused: the filter encoding changed with snapshot
-// version 2, and with version 3 a periodic Bloom record became a delta to
-// merge where version 2 wrote a snapshot to replace; there is no reader for
-// either old format. A version-1 or version-2 directory must fail open
-// loudly, by its manifest and by each file header alike.
-func TestVersion2DataDirRefused(t *testing.T) {
-	for _, old := range []byte{1, 2} {
+// TestOldVersionDataDirRefused: the filter encoding changed with snapshot
+// version 2, with version 3 a periodic Bloom record became a delta to merge
+// where version 2 wrote a snapshot to replace, and version 4 replaced the
+// per-shard files with one snapshot and one WAL; there is no reader for any
+// other format. A snapshot header naming another version must fail open.
+func TestOldVersionDataDirRefused(t *testing.T) {
+	for _, old := range []byte{1, 2, 3, 5} {
 		dir := t.TempDir()
 		a := openPersistent(t, 1, PersistConfig{Dir: dir})
 		seedStore(a)
@@ -743,18 +731,8 @@ func TestVersion2DataDirRefused(t *testing.T) {
 		if err := a.ClosePersistence(); err != nil {
 			t.Fatalf("close: %v", err)
 		}
-		want := fmt.Sprintf("version %d (want %d)", old, snapshotVersion)
-		refused := func(what string) {
-			t.Helper()
-			b := NewSharded(0, 1)
-			err := b.OpenPersistence(PersistConfig{Dir: dir})
-			if !errors.Is(err, ErrBadSnapshot) || !strings.Contains(err.Error(), want) {
-				t.Fatalf("%s: open err = %v, want ErrBadSnapshot naming %s", what, err, want)
-			}
-		}
-
 		// The snapshot file says the old version (bytes 8..11 of its header).
-		snap := snapPath(dir, 1, 0)
+		snap := filepath.Join(dir, snapName)
 		data, err := os.ReadFile(snap)
 		if err != nil {
 			t.Fatal(err)
@@ -763,13 +741,149 @@ func TestVersion2DataDirRefused(t *testing.T) {
 		if err := os.WriteFile(snap, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		refused(fmt.Sprintf("version-%d snapshot header", old))
+		want := fmt.Sprintf("version %d (want %d)", old, snapshotVersion)
+		b := NewSharded(0, 1)
+		if err := b.OpenPersistence(PersistConfig{Dir: dir}); !errors.Is(err, ErrBadSnapshot) || !strings.Contains(err.Error(), want) {
+			t.Fatalf("version-%d snapshot header: open err = %v, want ErrBadSnapshot naming %s", old, err, want)
+		}
+	}
+}
 
-		// The manifest says so too: refused before any file is read.
-		manifest := fmt.Sprintf("mint-data %d\nlayout 1\nshards 1\n", old)
-		if err := os.WriteFile(filepath.Join(dir, manifestName), []byte(manifest), 0o644); err != nil {
+// TestOtherVersionWALRefused: a directory whose only file is a WAL (no
+// compaction has run yet) is refused like a snapshot when its header names
+// another format version, and left byte-identical — not read as an
+// unreadable header and truncated to an empty log.
+func TestOtherVersionWALRefused(t *testing.T) {
+	for _, v := range []byte{3, 5} {
+		dir := t.TempDir()
+		a := openPersistent(t, 1, PersistConfig{Dir: dir})
+		seedStore(a)
+		if err := a.ClosePersistence(); err != nil {
+			t.Fatalf("close: %v", err)
+		}
+		if names := dirNames(t, dir); len(names) != 1 || names[0] != walName {
+			t.Fatalf("want a WAL-only directory, got %v", names)
+		}
+		wal := filepath.Join(dir, walName)
+		data, err := os.ReadFile(wal)
+		if err != nil {
 			t.Fatal(err)
 		}
-		refused(fmt.Sprintf("version-%d manifest", old))
+		data[8] = v
+		if err := os.WriteFile(wal, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		before := dirContents(t, dir)
+		want := fmt.Sprintf("version %d (want %d)", v, snapshotVersion)
+		b := NewSharded(0, 1)
+		if err := b.OpenPersistence(PersistConfig{Dir: dir}); !errors.Is(err, ErrBadSnapshot) || !strings.Contains(err.Error(), want) {
+			t.Fatalf("version-%d WAL header: open err = %v, want ErrBadSnapshot naming %s", v, err, want)
+		}
+		if after := dirContents(t, dir); after != before {
+			t.Fatalf("version-%d WAL: refused open changed the directory:\nbefore %s\nafter  %s", v, before, after)
+		}
+	}
+}
+
+// TestCompactionThresholdScalesWithShards: SnapshotEveryBytes is a per-shard
+// allowance. A compaction rewrites every shard, so an N-shard store
+// compacts once its WAL passes N times the allowance, which keeps the
+// snapshot bytes written per WAL byte independent of the shard count.
+func TestCompactionThresholdScalesWithShards(t *testing.T) {
+	const allowance = 4 << 10
+	dir := t.TempDir()
+	a := openPersistent(t, 4, PersistConfig{Dir: dir, SnapshotEveryBytes: allowance})
+	defer a.ClosePersistence()
+	snapshotted := func() bool {
+		_, err := os.Stat(filepath.Join(dir, snapName))
+		return err == nil
+	}
+	for i := 0; a.persist.wal.bytes < 3*allowance && !snapshotted(); i++ {
+		a.MarkSampled(fmt.Sprintf("t%d", i), "symptom")
+	}
+	if snapshotted() {
+		t.Fatalf("compacted at %d WAL bytes, below 4 shards x %d", a.persist.wal.bytes, allowance)
+	}
+	for i := 0; !snapshotted(); i++ {
+		if i > 10000 {
+			t.Fatalf("no compaction after %d more marks", i)
+		}
+		a.MarkSampled(fmt.Sprintf("u%d", i), "symptom")
+	}
+}
+
+// TestPerShardLayoutRefused: format 3 and older kept one snapshot and one
+// WAL per shard under a MANIFEST. Such a directory must fail open before
+// any file is read or written, so it is left exactly as it was.
+func TestPerShardLayoutRefused(t *testing.T) {
+	dir := t.TempDir()
+	files := map[string][]byte{
+		"MANIFEST":              []byte("mint-data 3\nlayout 1\nshards 1\n"),
+		"l0001-shard-0000.snap": append(fileHeader(snapMagic, 1), "records"...),
+		"l0001-shard-0000.wal":  append(fileHeader(walMagic, 1), "records"...),
+	}
+	for name, data := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := dirContents(t, dir)
+	b := NewSharded(0, 1)
+	if err := b.OpenPersistence(PersistConfig{Dir: dir}); !errors.Is(err, ErrBadSnapshot) {
+		t.Fatalf("open of a per-shard layout: want ErrBadSnapshot, got %v", err)
+	}
+	if after := dirContents(t, dir); after != before {
+		t.Fatalf("refused open changed the directory:\nbefore %s\nafter  %s", before, after)
+	}
+}
+
+// TestCompactionUnderConcurrentWriters races writers on every shard, and
+// readers, against the compactions a tiny threshold keeps triggering:
+// every compaction takes all shard locks while appends hold one, so the
+// lock order must hold, and a reopen at another shard count must answer
+// exactly like the store that wrote the files.
+func TestCompactionUnderConcurrentWriters(t *testing.T) {
+	dir := t.TempDir()
+	a := openPersistent(t, 4, PersistConfig{Dir: dir, SnapshotEveryBytes: 512})
+	seedStore(a)
+	const writers, perWriter = 8, 60
+	var ids []string
+	for g := 0; g < writers; g++ {
+		for i := 0; i < perWriter; i++ {
+			ids = append(ids, fmt.Sprintf("w%d-t%d", g, i))
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < writers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				id := fmt.Sprintf("w%d-t%d", g, i)
+				a.MarkSampled(id, "symptom")
+				a.AcceptParams(&wire.ParamsReport{
+					Node: "n1", TraceID: id,
+					Spans: []*parser.ParsedSpan{{PatternID: "sp1", TraceID: id, SpanID: "s1", AttrParams: [][]string{{"1"}, {"2"}, {"t"}}}},
+				})
+				f := bloom.New(64, 0.01)
+				f.Add(id)
+				a.AcceptBloom(&wire.BloomReport{Node: "n1", PatternID: fmt.Sprintf("tp%d", i%5), Filter: f}, false)
+				a.Query(ids[(g*perWriter+i*7)%len(ids)])
+			}
+		}(g)
+	}
+	wg.Wait()
+	all := append(append([]string(nil), seedQueryIDs...), ids...)
+	want := dumpState(a, all)
+	if err := a.ClosePersistence(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, snapName)); err != nil {
+		t.Fatalf("no compaction ran: %v", err)
+	}
+	b := openPersistent(t, 3, PersistConfig{Dir: dir})
+	defer b.ClosePersistence()
+	if got := dumpState(b, all); got != want {
+		t.Fatalf("reopen at 3 shards differs from the store that wrote it:\nwant:\n%s\ngot:\n%s", want, got)
 	}
 }

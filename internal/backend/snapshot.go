@@ -3,8 +3,8 @@ package backend
 // The snapshot/WAL record codec of the durable storage engine (persist.go).
 //
 // Both file kinds share one record stream format so a snapshot is literally
-// a compacted WAL: the replay path that recovers a shard from its snapshot
-// is the same code that recovers the mutations logged after it.
+// a compacted WAL: the replay path that recovers the store from its
+// snapshot is the same code that recovers the mutations logged after it.
 //
 // Every record is framed as
 //
@@ -12,7 +12,7 @@ package backend
 //	body = [1-byte record type][varint timestamp (UnixNano)][payload]
 //
 // and every file starts with an 8-byte magic, a 4-byte LE format version
-// and an 8-byte LE shard generation. Payloads are the wire package's
+// and an 8-byte LE store generation. Payloads are the wire package's
 // canonical binary encodings of the corresponding report messages
 // (wire/codec.go), so the storage format is the wire format at rest. The
 // CRC-per-record framing is what makes torn tails recoverable: a crashed
@@ -20,7 +20,7 @@ package backend
 // replay truncates the log at the last record that does.
 //
 // The generation makes snapshot+WAL replay crash-consistent: compaction
-// bumps the shard's generation, writes the new snapshot under it, and only
+// bumps the store's generation, writes the new snapshot under it, and only
 // then resets the WAL to the same generation. A crash in between leaves a
 // WAL whose generation is older than its snapshot's; every record in it is
 // already contained in that snapshot, so open discards it instead of
@@ -58,8 +58,9 @@ const (
 // snapshotVersion is the current on-disk format version, checked on open.
 // Version 3 changed what a recBloom record that is not Full means: a delta
 // merged into the pair's live segment, where version 2 replaced that segment
-// with it.
-const snapshotVersion = 3
+// with it. Version 4 replaced the per-shard snapshot and WAL files and their
+// MANIFEST with one store.snap and one store.wal.
+const snapshotVersion = 4
 
 var (
 	snapMagic = [8]byte{'M', 'I', 'N', 'T', 'S', 'N', 'A', 'P'}
@@ -87,7 +88,7 @@ func fileHeader(magic [8]byte, gen uint64) []byte {
 }
 
 // checkHeader verifies a file's magic and version prefix and returns its
-// shard generation.
+// store generation.
 func checkHeader(data []byte, magic [8]byte) (gen uint64, err error) {
 	if len(data) < fileHeaderLen {
 		return 0, fmt.Errorf("%w: short header", ErrBadSnapshot)
@@ -254,12 +255,11 @@ func (b *Backend) applyGroup(payload []byte) error {
 	return nil
 }
 
-// encodeShardSnapshot serializes a shard's full state as a header plus a
-// record stream — the compaction of everything the shard's WAL would replay
-// to. Iteration is sorted so identical state always produces identical
+// appendShardSnapshot appends a shard's full state to out as a record
+// stream — the compaction of everything the WAL would replay to for that
+// shard. Iteration is sorted so identical state always produces identical
 // bytes. Caller holds s.mu.
-func encodeShardSnapshot(s *shard, gen uint64) []byte {
-	out := fileHeader(snapMagic, gen)
+func appendShardSnapshot(out []byte, s *shard) []byte {
 
 	spanPats := make([]*parser.SpanPattern, 0, len(s.spanPatterns))
 	for _, p := range s.spanPatterns {
@@ -318,7 +318,7 @@ func encodeShardSnapshot(s *shard, gen uint64) []byte {
 }
 
 // loadSnapshot replays a snapshot file's record stream into the store and
-// returns the shard generation it was written under. Unlike a WAL, a
+// returns the store generation it was written under. Unlike a WAL, a
 // snapshot must decode completely.
 func (b *Backend) loadSnapshot(data []byte) (gen uint64, err error) {
 	gen, err = checkHeader(data, snapMagic)

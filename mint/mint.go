@@ -73,16 +73,15 @@
 //
 // # Durability
 //
-// Config.DataDir attaches a durable storage engine: every backend shard
-// persists to a versioned binary snapshot plus an append-only write-ahead
-// log, and Open replays the directory so a reopened cluster answers
+// Config.DataDir attaches a durable storage engine: the backend store
+// persists to one versioned binary snapshot plus one append-only
+// write-ahead log, and Open replays the directory so a reopened cluster answers
 // Query/BatchAnalyze/FindTraces byte-identically to the one that wrote it.
 // Flush makes everything captured so far crash-durable; Close drains the
 // pipeline and then flushes, so nothing enqueued before Close is lost. Torn
 // WAL tails from a crash mid-append are truncated to the last intact
 // record on reopen. Config.RetentionTTL ages out stored trace data and
-// Config.SnapshotEveryBytes bounds WAL growth through shard-local
-// compaction:
+// Config.SnapshotEveryBytes bounds WAL growth through compaction:
 //
 //	cluster, err := mint.Open(nodes, mint.Config{
 //		DataDir:      "/var/lib/mint",
@@ -234,10 +233,10 @@ type Config struct {
 	// caching. With the cache enabled, returned Traces are shared — treat
 	// them as read-only.
 	QueryCacheSize int
-	// DataDir enables the durable storage engine: each backend shard
-	// snapshots to a versioned binary file under this directory and logs
-	// mutations between snapshots to a per-shard write-ahead log. On Open
-	// the directory is replayed — a cluster reopened from a DataDir answers
+	// DataDir enables the durable storage engine: the backend store
+	// snapshots to one versioned binary file under this directory and logs
+	// mutations between snapshots to one write-ahead log, whatever the
+	// shard count. On Open the directory is replayed — a cluster reopened from a DataDir answers
 	// Query/FindTraces identically to the one that wrote it, including
 	// after a crash (torn WAL tails are truncated to the last intact
 	// record). Empty keeps the store memory-only.
@@ -247,9 +246,10 @@ type Config struct {
 	// the tiny, deduplicated commonality). Applied by a background sweep
 	// and at reopen. 0 keeps everything forever. Requires DataDir.
 	RetentionTTL time.Duration
-	// SnapshotEveryBytes rewrites a shard's snapshot and resets its WAL
-	// once the WAL exceeds this size. 0 takes
-	// backend.DefaultSnapshotEveryBytes. Requires DataDir.
+	// SnapshotEveryBytes is the WAL allowance per shard: the store's
+	// snapshot is rewritten and its WAL reset once the WAL exceeds this size
+	// times Shards. 0 takes backend.DefaultSnapshotEveryBytes. Requires
+	// DataDir.
 	SnapshotEveryBytes int64
 	// SlowOpThreshold is the latency above which an operation (capture,
 	// shard apply, WAL flush, query, RPC call) is recorded in the slow-op
