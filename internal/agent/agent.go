@@ -92,6 +92,13 @@ func New(node string, cfg Config) *Agent {
 	if cfg.HeadSampleRate > 0 {
 		a.head = sampler.NewHead(cfg.HeadSampleRate)
 	}
+	a.watchFullFilters()
+	return a
+}
+
+// watchFullFilters forwards the topo library's Bloom-full events to the
+// registered onBloomFull callback, read under cbMu at each event.
+func (a *Agent) watchFullFilters() {
 	a.topoLib.OnFilterFull(func(id string, f *bloom.Filter) {
 		a.cbMu.RLock()
 		cb := a.onBloomFull
@@ -100,7 +107,6 @@ func New(node string, cfg Config) *Agent {
 			cb(id, f)
 		}
 	})
-	return a
 }
 
 // OnBloomFull registers the collector callback fired when a pattern's Bloom

@@ -2,6 +2,7 @@ package agent
 
 import (
 	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/bloom"
@@ -105,21 +106,43 @@ func TestDrainPatternDeltas(t *testing.T) {
 	}
 }
 
+// The Bloom-full callback fires on a new agent and on a rebuilt one, and
+// registering it while ingest fires it is race-free on both.
 func TestBloomFullCallback(t *testing.T) {
-	a := New("n1", Config{BloomBufBytes: 64})
-	fired := 0
-	a.OnBloomFull(func(patternID string, f *bloom.Filter) {
-		fired++
-		if f.Count() == 0 {
-			t.Fatal("full filter should carry entries")
+	for _, rebuilt := range []bool{false, true} {
+		a := New("n1", Config{BloomBufBytes: 64})
+		if rebuilt {
+			a.Rebuild(nil)
 		}
-	})
-	cap := bloom.New(64, bloom.DefaultFPP).Capacity()
-	for i := 0; i <= cap+1; i++ {
-		a.Ingest(subTrace(fmt.Sprintf("t%d", i), 3000, trace.StatusOK))
-	}
-	if fired == 0 {
-		t.Fatal("bloom-full callback never fired")
+		var fired atomic.Int32
+		cb := func(patternID string, f *bloom.Filter) {
+			fired.Add(1)
+			if f.Count() == 0 {
+				t.Error("full filter should carry entries")
+			}
+		}
+		a.OnBloomFull(cb)
+		stop, done := make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(done)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					a.OnBloomFull(cb)
+				}
+			}
+		}()
+		cap := bloom.New(64, bloom.DefaultFPP).Capacity()
+		for i := 0; i <= cap+1; i++ {
+			a.Ingest(subTrace(fmt.Sprintf("t%d", i), 3000, trace.StatusOK))
+		}
+		close(stop)
+		<-done
+		if fired.Load() == 0 {
+			t.Fatalf("rebuilt %v: bloom-full callback never fired", rebuilt)
+		}
 	}
 }
 

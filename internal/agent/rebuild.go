@@ -1,7 +1,6 @@
 package agent
 
 import (
-	"repro/internal/bloom"
 	"repro/internal/buffer"
 	"repro/internal/parser"
 	"repro/internal/sampler"
@@ -16,7 +15,9 @@ import (
 // the span parser on the provided sample of recent raw spans.
 //
 // The backend keeps previously uploaded patterns (historical traces still
-// reconstruct against them); only the agent's live state restarts.
+// reconstruct against them); only the agent's live state restarts. Pattern
+// and Bloom deltas not yet drained are discarded with it, so the caller
+// uploads them first (mint's Cluster.Rebuild flushes each collector).
 func (a *Agent) Rebuild(warmupSpans []*trace.Span) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -30,11 +31,7 @@ func (a *Agent) Rebuild(warmupSpans []*trace.Span) {
 	}
 	a.pendingSpanPat = map[string]*parser.SpanPattern{}
 	a.pendingTopoPat = map[string]*topo.Pattern{}
-	a.topoLib.OnFilterFull(func(id string, f *bloom.Filter) {
-		if a.onBloomFull != nil {
-			a.onBloomFull(id, f)
-		}
-	})
+	a.watchFullFilters()
 	if len(warmupSpans) > 0 {
 		a.parser.Warmup(warmupSpans)
 	}

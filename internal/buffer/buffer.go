@@ -2,6 +2,10 @@
 // queue in which variable parameters wait for a sampling decision.
 // Parameters from the same trace ID are grouped into one block; when the
 // buffer is full the block at the front of the queue is evicted.
+//
+// The queue is intrusive: each block carries its own prev/next links, so
+// Push, eviction and Take are each a map operation plus an O(1) link or
+// unlink, however many blocks the buffer holds.
 package buffer
 
 import (
@@ -18,6 +22,8 @@ type Block struct {
 	TraceID string
 	Spans   []*parser.ParsedSpan
 	bytes   int
+
+	prev, next *Block // queue links, guarded by the owning Buffer's mu
 }
 
 // Size returns the block's byte footprint.
@@ -28,10 +34,10 @@ type Buffer struct {
 	mu       sync.Mutex
 	capacity int
 	used     int
-	order    []string // trace IDs, front first
+	front    *Block // oldest block, evicted first
+	back     *Block // newest block
 	blocks   map[string]*Block
 	evicted  uint64 // blocks dropped due to capacity
-	onEvict  func(*Block)
 }
 
 // New creates a Params Buffer with the given capacity in bytes (0 means the
@@ -43,45 +49,30 @@ func New(capacity int) *Buffer {
 	return &Buffer{capacity: capacity, blocks: map[string]*Block{}}
 }
 
-// OnEvict registers a callback invoked with each block dropped from the
-// front of the queue. Used by tests and by overflow accounting.
-func (b *Buffer) OnEvict(fn func(*Block)) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.onEvict = fn
-}
-
 // Push appends a parsed span's parameters to its trace's block, creating the
 // block at the back of the queue if needed, and evicts front blocks until
 // the buffer fits its capacity.
 func (b *Buffer) Push(ps *parser.ParsedSpan) {
 	b.mu.Lock()
-	var evicted []*Block
+	defer b.mu.Unlock()
 	blk, ok := b.blocks[ps.TraceID]
 	if !ok {
-		blk = &Block{TraceID: ps.TraceID}
+		blk = &Block{TraceID: ps.TraceID, prev: b.back}
+		if b.back != nil {
+			b.back.next = blk
+		} else {
+			b.front = blk
+		}
+		b.back = blk
 		b.blocks[ps.TraceID] = blk
-		b.order = append(b.order, ps.TraceID)
 	}
 	sz := ps.Size()
 	blk.Spans = append(blk.Spans, ps)
 	blk.bytes += sz
 	b.used += sz
-	for b.used > b.capacity && len(b.order) > 0 {
-		front := b.order[0]
-		b.order = b.order[1:]
-		dropped := b.blocks[front]
-		delete(b.blocks, front)
-		b.used -= dropped.bytes
+	for b.used > b.capacity && b.front != nil {
+		b.unlink(b.front)
 		b.evicted++
-		evicted = append(evicted, dropped)
-	}
-	cb := b.onEvict
-	b.mu.Unlock()
-	if cb != nil {
-		for _, e := range evicted {
-			cb(e)
-		}
 	}
 }
 
@@ -94,15 +85,25 @@ func (b *Buffer) Take(traceID string) (*Block, bool) {
 	if !ok {
 		return nil, false
 	}
-	delete(b.blocks, traceID)
-	for i, id := range b.order {
-		if id == traceID {
-			b.order = append(b.order[:i], b.order[i+1:]...)
-			break
-		}
-	}
-	b.used -= blk.bytes
+	b.unlink(blk)
 	return blk, true
+}
+
+// unlink removes blk from the queue and the index and releases its bytes.
+func (b *Buffer) unlink(blk *Block) {
+	if blk.prev != nil {
+		blk.prev.next = blk.next
+	} else {
+		b.front = blk.next
+	}
+	if blk.next != nil {
+		blk.next.prev = blk.prev
+	} else {
+		b.back = blk.prev
+	}
+	blk.prev, blk.next = nil, nil
+	delete(b.blocks, blk.TraceID)
+	b.used -= blk.bytes
 }
 
 // Peek returns the block for a trace ID without removing it.

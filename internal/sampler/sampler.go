@@ -185,6 +185,10 @@ type Symptom struct {
 	quantiles map[quantKey]*P2Quantile
 	words     []string // ASCII words, matched by the fold scan
 	wideWords []string // words with non-ASCII runes, matched via ToLower
+	// templateAbnormal memoizes hasAbnormalWord per learned template text:
+	// the verdict depends only on the text and the configured words, and a
+	// pattern's templates recur on every one of its spans.
+	templateAbnormal map[string]bool
 }
 
 // NewSymptom creates a Symptom Sampler. Zero-value fields of cfg fall back
@@ -212,7 +216,13 @@ func NewSymptom(cfg SymptomConfig) *Symptom {
 			wideWords = append(wideWords, lw)
 		}
 	}
-	return &Symptom{cfg: cfg, quantiles: map[quantKey]*P2Quantile{}, words: words, wideWords: wideWords}
+	return &Symptom{
+		cfg:              cfg,
+		quantiles:        map[quantKey]*P2Quantile{},
+		words:            words,
+		wideWords:        wideWords,
+		templateAbnormal: map[string]bool{},
+	}
 }
 
 // Inspect examines one parsed span's parameters against the pattern it
@@ -247,7 +257,12 @@ func (s *Symptom) Inspect(pat *parser.SpanPattern, ps *parser.ParsedSpan) Decisi
 		// Abnormal words can sit in either half of the split value: in a
 		// variable parameter ("ERR_5003") or in the learned template
 		// itself ("NullPointerException at line <*>").
-		if s.hasAbnormalWord(a.Pattern) {
+		abnormal, ok := s.templateAbnormal[a.Pattern]
+		if !ok {
+			abnormal = s.hasAbnormalWord(a.Pattern)
+			s.templateAbnormal[a.Pattern] = abnormal
+		}
+		if abnormal {
 			return Decision{Sampled: true, Reason: "abnormal:" + a.Key}
 		}
 		for _, p := range params {

@@ -111,20 +111,61 @@ func TestSymptomMinObservationsGate(t *testing.T) {
 	}
 }
 
+// Abnormal words are caught in the parameters and in the learned template;
+// a template's verdict holds for every span of its pattern, not only the
+// first one that met the template.
 func TestSymptomAbnormalWords(t *testing.T) {
-	s := NewSymptom(SymptomConfig{})
-	pat := &parser.SpanPattern{
-		ID: "p2", Service: "svc", Operation: "op",
-		Attrs: []parser.AttrPattern{{Key: "msg", Pattern: "status <*>"}},
+	strPattern := func(tmpl string) *parser.SpanPattern {
+		return &parser.SpanPattern{
+			ID: "p2", Service: "svc", Operation: "op",
+			Attrs: []parser.AttrPattern{{Key: "msg", Pattern: tmpl}},
+		}
 	}
-	bad := &parser.ParsedSpan{PatternID: "p2", TraceID: "t", AttrParams: [][]string{{"NullPointerException thrown"}}}
-	if d := s.Inspect(pat, bad); !d.Sampled || d.Reason != "abnormal:msg" {
-		t.Fatalf("abnormal word not caught: %+v", d)
+	inspect := func(t *testing.T, s *Symptom, pat *parser.SpanPattern, param string, want bool) {
+		t.Helper()
+		span := &parser.ParsedSpan{PatternID: "p2", TraceID: "t", AttrParams: [][]string{{param}}}
+		d := s.Inspect(pat, span)
+		if d.Sampled != want || (want && d.Reason != "abnormal:msg") {
+			t.Fatalf("template %q, param %q: %+v, want sampled %v", pat.Attrs[0].Pattern, param, d, want)
+		}
 	}
-	ok := &parser.ParsedSpan{PatternID: "p2", TraceID: "t", AttrParams: [][]string{{"all good"}}}
-	if d := s.Inspect(pat, ok); d.Sampled {
-		t.Fatal("benign value sampled")
-	}
+
+	t.Run("parameter", func(t *testing.T) {
+		s := NewSymptom(SymptomConfig{})
+		pat := strPattern("status <*>")
+		inspect(t, s, pat, "NullPointerException thrown", true)
+		inspect(t, s, pat, "all good", false)
+	})
+	t.Run("abnormal template samples every span", func(t *testing.T) {
+		s := NewSymptom(SymptomConfig{})
+		pat := strPattern("NullPointerException at line <*>")
+		for i := 0; i < 3; i++ {
+			inspect(t, s, pat, "42", true)
+		}
+	})
+	t.Run("benign template leaves the parameters to decide", func(t *testing.T) {
+		s := NewSymptom(SymptomConfig{})
+		pat := strPattern("status <*>")
+		inspect(t, s, pat, "ok", false)
+		inspect(t, s, pat, "TIMEOUT", true)
+		inspect(t, s, pat, "ok", false)
+	})
+	t.Run("verdict follows the template text", func(t *testing.T) {
+		s := NewSymptom(SymptomConfig{})
+		pat := strPattern("status <*>")
+		inspect(t, s, pat, "ok", false)
+		pat.Attrs[0].Pattern = "status failed <*>"
+		inspect(t, s, pat, "ok", true)
+		pat.Attrs[0].Pattern = "status <*>"
+		inspect(t, s, pat, "ok", false)
+	})
+	t.Run("non-ASCII word in a template", func(t *testing.T) {
+		s := NewSymptom(SymptomConfig{AbnormalWords: []string{"ошибка"}})
+		pat := strPattern("запрос: ОШИБКА <*>")
+		inspect(t, s, pat, "42", true)
+		inspect(t, s, pat, "43", true)
+		inspect(t, s, strPattern("запрос: успех <*>"), "42", false)
+	})
 }
 
 func TestSymptomPerPatternQuantiles(t *testing.T) {

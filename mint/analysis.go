@@ -83,15 +83,24 @@ func (c *Cluster) FindAnalyze(f Filter) (*BatchStats, []FoundTrace) {
 
 // Rebuild triggers the §4.1 reconstruct interface on every agent after a
 // system change: live pattern libraries, params buffers and sampler state
-// restart, and the span parsers re-warm on the given recent traces.
+// restart, and the span parsers re-warm on the given recent traces. It
+// first drains the CaptureAsync queue and uploads each collector's pending
+// patterns and Bloom deltas, so every trace captured before Rebuild stays
+// queryable. Like Flush, it must not race with captures. On a closed
+// cluster it does nothing and records ErrClosed (see Err).
 func (c *Cluster) Rebuild(recent []*Trace) {
+	if c.checkOpen() != nil {
+		return
+	}
 	byNode := map[string][]*trace.Span{}
 	for _, t := range recent {
 		for node, spans := range t.ByNode() {
 			byNode[node] = append(byNode[node], spans...)
 		}
 	}
+	c.drainIngest()
 	for node, col := range c.collectors {
+		col.FlushPatterns()
 		col.Agent().Rebuild(byNode[node])
 	}
 }

@@ -64,26 +64,47 @@ func TestBatchAnalyzeAllRequests(t *testing.T) {
 	}
 }
 
+// Rebuild keeps every trace captured before it queryable, including those
+// whose patterns and Bloom deltas were still pending (captured after the last
+// Flush, or still queued by CaptureAsync), and traffic after the rebuild is
+// fully queryable too.
 func TestRebuildAfterSystemChange(t *testing.T) {
-	sys, cluster := newOBCluster(t, mint.Defaults())
-	cluster.Warmup(sim.GenTraces(sys, 200))
-	for _, tr := range sim.GenTraces(sys, 300) {
-		cluster.Capture(tr)
-	}
-	cluster.Flush()
+	async := mint.Defaults()
+	async.IngestWorkers = 2
+	for _, tc := range []struct {
+		name string
+		cfg  mint.Config
+	}{{"capture", mint.Defaults()}, {"capture_async", async}} {
+		t.Run(tc.name, func(t *testing.T) {
+			sys, cluster := newOBCluster(t, tc.cfg)
+			defer cluster.Close()
+			cluster.Warmup(sim.GenTraces(sys, 200))
+			for _, tr := range sim.GenTraces(sys, 300) {
+				cluster.Capture(tr)
+			}
+			cluster.Flush()
 
-	// "System change": rebuild with fresh warmup, then keep capturing.
-	recent := sim.GenTraces(sys, 100)
-	cluster.Rebuild(recent)
-	post := sim.GenTraces(sys, 200)
-	for _, tr := range post {
-		cluster.Capture(tr)
-	}
-	cluster.Flush()
-	// Traffic captured after the rebuild must be fully queryable.
-	for _, tr := range post[:50] {
-		if cluster.Query(tr.TraceID).Kind == mint.Miss {
-			t.Fatal("post-rebuild capture lost a trace")
-		}
+			// Captured after the last Flush: nothing of these is uploaded yet.
+			unflushed := sim.GenTraces(sys, 300)
+			for _, tr := range unflushed {
+				if err := cluster.CaptureAsync(tr); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// "System change": rebuild with fresh warmup, then keep capturing.
+			cluster.Rebuild(sim.GenTraces(sys, 100))
+			post := sim.GenTraces(sys, 200)
+			for _, tr := range post {
+				cluster.Capture(tr)
+			}
+			cluster.Flush()
+			for name, batch := range map[string][]*mint.Trace{"pre-rebuild": unflushed, "post-rebuild": post} {
+				for _, tr := range batch {
+					if cluster.Query(tr.TraceID).Kind == mint.Miss {
+						t.Fatalf("%s capture %s lost", name, tr.TraceID)
+					}
+				}
+			}
+		})
 	}
 }

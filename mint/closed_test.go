@@ -34,6 +34,13 @@ func TestClosedClusterOperations(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 
+	// Rebuild has no error to return: it records ErrClosed and uploads
+	// nothing to the detached store.
+	cluster.Rebuild(traces)
+	if err := cluster.Err(); !errors.Is(err, mint.ErrClosed) {
+		t.Fatalf("Err after Rebuild on a closed cluster: %v, want ErrClosed", err)
+	}
+
 	// Mutations return ErrClosed and ingest nothing.
 	extra := sim.GenTraces(sys, 3)
 	if err := cluster.Capture(extra[0]); !errors.Is(err, mint.ErrClosed) {
