@@ -38,6 +38,9 @@ type IngestResult struct {
 	NewTopo       bool
 	Samples       []SampleEvent
 	RawBytes      int // serialized size of the raw sub-trace
+	// Noticed is set by the collector when the trace's sampling notice came
+	// first: the sub-trace's params went out at once, and no notice is due.
+	Noticed bool
 }
 
 // Agent is one mint-agent instance on an application node. It is safe for

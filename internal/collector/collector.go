@@ -1,7 +1,8 @@
 // Package collector implements mint-collector (§4.2): the per-host component
 // that periodically reports patterns from the Pattern Library, immediately
 // reports Bloom filters when they reach their size limit, and uploads a
-// sampled trace's parameters from every host when notified by the backend.
+// sampled trace's parameters from every host when notified by the backend,
+// and at once for a sub-trace that arrives after its trace's notice.
 //
 // A collector is safe for concurrent Ingest. Every report is metered and
 // applied to the backend inline, on the goroutine that cut it.
@@ -41,15 +42,17 @@ type Collector struct {
 	backend Sink
 	meter   *wire.Meter
 
-	mu       sync.Mutex
-	notified map[string]bool // traces whose params this host already reported
+	mu      sync.Mutex
+	ring    []string        // the notice window: the last NoticeWindow noticed trace IDs
+	head    int             // the oldest ID's slot, the next to be overwritten
+	noticed map[string]bool // the IDs in the window
 }
 
 // New creates a collector for an agent. Bloom-full events are wired to
 // immediate reports, matching the paper's "immediately reports Bloom Filters
 // once they reach their size limit".
 func New(a *agent.Agent, b Sink, m *wire.Meter) *Collector {
-	c := &Collector{agent: a, backend: b, meter: m, notified: map[string]bool{}}
+	c := &Collector{agent: a, backend: b, meter: m, ring: make([]string, NoticeWindow), noticed: map[string]bool{}}
 	a.OnBloomFull(func(patternID string, f *bloom.Filter) {
 		c.send(&wire.BloomReport{Node: a.Node, PatternID: patternID, Filter: f, Full: true})
 	})
@@ -77,6 +80,12 @@ func (c *Collector) Ingest(st *trace.SubTrace) agent.IngestResult {
 	for _, ev := range res.Samples {
 		c.backend.MarkSampled(ev.TraceID, ev.Reason)
 	}
+	c.mu.Lock()
+	res.Noticed = c.noticed[st.TraceID]
+	c.mu.Unlock()
+	if res.Noticed {
+		c.ReportSampled(st.TraceID) // a late sub-trace
+	}
 	return res
 }
 
@@ -93,23 +102,25 @@ func (c *Collector) FlushPatterns() {
 	})
 }
 
-// ReportSampled uploads this host's buffered parameters for a sampled trace
-// (step ⑥ — called for every host when any host samples the trace).
+// ReportSampled remembers the notice and uploads this host's buffered params
+// for the trace (step ⑥ — on every host, when any host samples the trace).
 func (c *Collector) ReportSampled(traceID string) {
 	c.mu.Lock()
-	if c.notified[traceID] {
-		c.mu.Unlock()
-		return
+	if !c.noticed[traceID] { // the newest ID overwrites the oldest
+		delete(c.noticed, c.ring[c.head])
+		c.ring[c.head], c.noticed[traceID] = traceID, true
+		c.head = (c.head + 1) % len(c.ring)
 	}
-	c.notified[traceID] = true
 	c.mu.Unlock()
-
-	spans, ok := c.agent.TakeParams(traceID)
-	if !ok || len(spans) == 0 {
-		return
+	if spans, ok := c.agent.TakeParams(traceID); ok && len(spans) > 0 {
+		c.send(&wire.ParamsReport{Node: c.agent.Node, TraceID: traceID, Spans: spans})
 	}
-	c.send(&wire.ParamsReport{Node: c.agent.Node, TraceID: traceID, Spans: spans})
 }
+
+// NoticeWindow is how many notices a host remembers. A sub-trace that reaches
+// its host after NoticeWindow other traces were noticed there is not a late
+// report: its params stay buffered, and its trace answers short.
+const NoticeWindow = 1024
 
 // Agent returns the wrapped agent.
 func (c *Collector) Agent() *agent.Agent { return c.agent }

@@ -569,12 +569,6 @@ func (c *Cluster) captureOne(t *Trace) {
 		}
 	}
 
-	sampledReason := ""
-	record := func(res agent.IngestResult) {
-		if sampledReason == "" && len(res.Samples) > 0 {
-			sampledReason = res.Samples[0].Reason
-		}
-	}
 	// Walk nodes in cluster order, not map order: the first sampling node's
 	// reason is recorded on the notice, and byte accounting must be
 	// deterministic across runs.
@@ -589,21 +583,14 @@ func (c *Cluster) captureOne(t *Trace) {
 		}
 		if uniform {
 			s.st = SubTrace{TraceID: t.TraceID, Node: node, Spans: spans}
-			record(col.Ingest(&s.st))
+			c.ingest(col, &s.st)
 			continue
 		}
 		for _, st := range trace.BuildSubTraces(node, spans) {
-			record(col.Ingest(st))
+			c.ingest(col, st)
 		}
 	}
 	c.capScratch.Put(s)
-	if sampledReason != "" {
-		// The sampling collector already delivered the mark to the store
-		// (collector.Ingest marks through its sink — a coalesced write on a
-		// remote deployment); what remains is the cluster-wide coherence
-		// fan-out.
-		c.notifySampled(t.TraceID, sampledReason)
-	}
 	d := time.Since(start)
 	c.histCapture.Observe(d)
 	if c.slow.Exceeds(d) {
@@ -618,13 +605,17 @@ func (c *Cluster) MarkSampled(traceID, reason string) error {
 	if err := c.checkOpen(); err != nil {
 		return err
 	}
-	c.markSampled(traceID, reason)
+	c.store.MarkSampled(traceID, reason)
+	c.notifySampled(traceID, reason)
 	return nil
 }
 
-func (c *Cluster) markSampled(traceID, reason string) {
-	c.store.MarkSampled(traceID, reason)
-	c.notifySampled(traceID, reason)
+// ingest feeds one sub-trace to its collector, the one place a capture
+// decides on a notice: sent when the sub-trace sampled a trace not noticed yet.
+func (c *Cluster) ingest(col *collector.Collector, st *SubTrace) {
+	if res := col.Ingest(st); len(res.Samples) > 0 && !res.Noticed {
+		c.notifySampled(st.TraceID, res.Samples[0].Reason)
+	}
 }
 
 // notifySampled performs the trace-coherence fan-out for a mark the store
@@ -632,8 +623,7 @@ func (c *Cluster) markSampled(traceID, reason string) {
 // control channel (counted once — it is a single multicast message), and
 // every host reports its buffered params for the trace.
 func (c *Cluster) notifySampled(traceID, reason string) {
-	notice := &wire.SampleNotice{TraceID: traceID, Reason: reason}
-	c.meter.Record("backend", notice)
+	c.meter.Record("backend", &wire.SampleNotice{TraceID: traceID, Reason: reason})
 	for _, node := range c.nodes {
 		c.collectors[node].ReportSampled(traceID)
 	}

@@ -226,8 +226,9 @@ func statsLine(s mint.Stats) string {
 // answers is what every read path of a cluster says about a set of trace
 // IDs, in a form two clusters can be compared by.
 type answers struct {
-	queries []string // Query: kind, reason and the serialized trace
-	many    []string // QueryMany, rendered the same way
+	queries []string               // Query: kind, reason and the serialized trace
+	exact   map[string]*mint.Trace // Query: the trace of each exact answer
+	many    []string               // QueryMany, rendered the same way
 	batch   *mint.BatchStats
 	miss    int
 	finds   [][]mint.FoundTrace
@@ -254,9 +255,13 @@ func searchFilters(ids []string) []mint.Filter {
 }
 
 func readAnswers(c *mint.Cluster, ids []string) answers {
-	a := answers{stats: c.Stats()}
+	a := answers{stats: c.Stats(), exact: map[string]*mint.Trace{}}
 	for _, id := range ids {
-		a.queries = append(a.queries, renderResult(c.Query(id)))
+		res := c.Query(id)
+		a.queries = append(a.queries, renderResult(res))
+		if res.Kind == mint.ExactHit {
+			a.exact[id] = res.Trace
+		}
 	}
 	for _, res := range c.QueryMany(ids) {
 		a.many = append(a.many, renderResult(res))
@@ -314,6 +319,7 @@ type opKind uint8
 const (
 	opCapture      opKind = iota // Capture the next corpus trace (every third as OTLP/JSON)
 	opCaptureAsync               // CaptureAsync the next corpus trace
+	opCaptureHosts               // the next corpus trace as one OTLP/JSON request per node, in the history's host order
 	opMark                       // MarkSampled a trace captured before the last flush
 	opFlush                      // Flush, then check
 	opRestart                    // durable: crash and reopen resharded; remote: restart the server; else Flush. Then check.
@@ -330,6 +336,8 @@ func (o histOp) String() string {
 		return "capture"
 	case opCaptureAsync:
 		return "capture-async"
+	case opCaptureHosts:
+		return "capture-hosts"
 	case opMark:
 		return fmt.Sprintf("mark #%d", o.trace)
 	case opFlush:
@@ -343,6 +351,7 @@ func (o histOp) String() string {
 type history struct {
 	seed         int64
 	nodes        []string
+	hostOrder    []string // the node order of opCaptureHosts' requests
 	warm, traces []*mint.Trace
 	ops          []histOp
 }
@@ -356,6 +365,9 @@ func genHistory(seed int64, n int) *history {
 	sys := sim.OnlineBoutique(seed)
 	h := &history{seed: seed, nodes: sys.Nodes, warm: sim.GenTraces(sys, oracleWarm), traces: sim.GenTraces(sys, n)}
 	rng := rand.New(rand.NewSource(seed))
+	for _, i := range rand.New(rand.NewSource(seed)).Perm(len(sys.Nodes)) {
+		h.hostOrder = append(h.hostOrder, sys.Nodes[i])
+	}
 	captured, flushed := 0, 0
 	for captured < n {
 		switch p := rng.Intn(200); {
@@ -365,8 +377,10 @@ func genHistory(seed int64, n int) *history {
 			h.ops, flushed = append(h.ops, histOp{kind: opFlush}), captured
 		case p < 24 && flushed > 0:
 			h.ops = append(h.ops, histOp{kind: opMark, trace: rng.Intn(flushed)})
-		case p < 112:
+		case p < 90:
 			h.ops, captured = append(h.ops, histOp{kind: opCapture}), captured+1
+		case p < 112:
+			h.ops, captured = append(h.ops, histOp{kind: opCaptureHosts}), captured+1
 		default:
 			h.ops, captured = append(h.ops, histOp{kind: opCaptureAsync}), captured+1
 		}
@@ -578,6 +592,26 @@ func (r *rig) step(op histOp, ids []string) string {
 		err = r.c.CaptureOTLP(tr.Spans[0].Node, payload)
 	case opCaptureAsync:
 		err = r.c.CaptureAsync(r.h.traces[len(ids)-1])
+	case opCaptureHosts:
+		// Each host's exporter sends its own spans, so sub-traces reach
+		// their hosts one request at a time, some after the trace's
+		// sampling notice.
+		byNode := map[string][]*mint.Span{}
+		for _, sp := range r.h.traces[len(ids)-1].Spans {
+			byNode[sp.Node] = append(byNode[sp.Node], sp)
+		}
+		for _, node := range r.h.hostOrder {
+			if len(byNode[node]) == 0 {
+				continue
+			}
+			payload, perr := mint.EncodeOTLP(byNode[node])
+			if perr != nil {
+				return fmt.Sprintf("%s: %v", op, perr)
+			}
+			if err = r.c.CaptureOTLP(node, payload); err != nil {
+				break
+			}
+		}
 	case opMark:
 		err = r.c.MarkSampled(r.h.traces[op.trace].TraceID, "oracle")
 	case opFlush:
@@ -652,6 +686,17 @@ func (r *rig) check(ids []string, serial *answers, serialNet int64) (answers, st
 	if d := r.ref.diff(a, ids); d != "" {
 		return a, d
 	}
+	// An exact answer holds every span captured, whatever the delivery.
+	// A crash is exempt: the store keeps a sampled trace's params, but span
+	// patterns not yet flushed die with the agent, and a span whose pattern
+	// is missing is left out of the rendered trace.
+	for i, tr := range r.h.traces[:min(len(ids), len(r.h.traces))] {
+		if got := a.exact[ids[i]]; got != nil && r.spec.renderFaithful() {
+			if d := spanIDDiff(got, tr); d != "" {
+				return a, fmt.Sprintf("exact answer for %s: %s", ids[i], d)
+			}
+		}
+	}
 	if serial == nil || !r.spec.renderFaithful() {
 		return a, ""
 	}
@@ -702,7 +747,7 @@ func runHistory(tb testing.TB, h *history, ops []histOp, specs []rigSpec, mutate
 		return nil
 	}
 	for i, op := range append(ops[:len(ops):len(ops)], histOp{kind: opFlush}) {
-		if op.kind == opCapture || op.kind == opCaptureAsync {
+		if op.kind == opCapture || op.kind == opCaptureAsync || op.kind == opCaptureHosts {
 			ids = append(ids, h.traces[len(ids)].TraceID)
 		}
 		for _, r := range rigs {

@@ -91,12 +91,7 @@ func (c *Cluster) captureSpans(node string, spans []*trace.Span) (int, error) {
 		return 0, errUnknownNode(node)
 	}
 	for _, st := range trace.BuildSubTraces(node, spans) {
-		res := col.Ingest(st)
-		if len(res.Samples) > 0 {
-			// The collector already delivered the mark to the store; run
-			// the coherence fan-out only.
-			c.notifySampled(st.TraceID, res.Samples[0].Reason)
-		}
+		c.ingest(col, st)
 	}
 	return len(spans), nil
 }
